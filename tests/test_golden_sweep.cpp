@@ -5,6 +5,9 @@
 // at once: the refactored hot path (flat tables, ring buffers, shared
 // contexts) reproduces the original simulation bit for bit, thread count
 // never changes results, and the export formatting stays stable.
+// The search and tempering traces are pinned the same way (GoldenTrace
+// below): five runs covering hill climbing, annealing (including the
+// min_temperature floor), and tempering with and without replica exchange.
 // Regenerating: when a PR deliberately changes simulation results (e.g. a
 // new RNG stream layout), run the suite once with HM_REGEN_GOLDEN=1 — the
 // t1 instantiation rewrites tests/golden/ from a 1-thread run and every
@@ -17,9 +20,12 @@
 #include <sstream>
 #include <string>
 
+#include "core/arrangement.hpp"
 #include "core/evaluator.hpp"
 #include "explore/export.hpp"
 #include "explore/sweep.hpp"
+#include "search/search.hpp"
+#include "search/tempering.hpp"
 
 namespace {
 
@@ -101,6 +107,118 @@ TEST_P(GoldenSweep, CsvAndJsonMatchPreRefactorCapture) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, GoldenSweep,
+                         ::testing::Values(1u, 4u, 8u),
+                         [](const auto& info) {
+                           return "t" + std::to_string(info.param);
+                         });
+
+// --- Search and tempering traces ---------------------------------------------
+
+using hm::core::ArrangementType;
+using hm::core::make_arrangement;
+
+/// Short measurement windows (those of test_tempering's fast_options()) on
+/// top of either engine's defaults.
+template <typename Options>
+Options golden_trace_options(unsigned threads) {
+  Options opt;
+  opt.threads = threads;
+  opt.seed = 7;
+  opt.params.throughput_warmup = 250;
+  opt.params.throughput_measure = 250;
+  opt.params.latency_warmup = 250;
+  opt.params.latency_measure = 500;
+  return opt;
+}
+
+/// Trace goldens under tests/golden/. With HM_REGEN_GOLDEN set, the t1
+/// instantiation rewrites them from a 1-thread run and the others skip.
+class GoldenTrace : public ::testing::TestWithParam<unsigned> {
+ protected:
+  void SetUp() override {
+    regen_ = std::getenv("HM_REGEN_GOLDEN") != nullptr;
+    if (regen_ && GetParam() != 1u) GTEST_SKIP() << "HM_REGEN_GOLDEN set";
+  }
+
+  void check(const std::string& name, const std::string& actual) const {
+    const std::string path = std::string(HM_GOLDEN_DIR) + "/" + name;
+    if (regen_) {
+      std::ofstream(path, std::ios::binary) << actual;
+      return;
+    }
+    const std::string golden = read_file(path);
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(actual, golden) << name << " diverged from the golden at "
+                              << GetParam() << " threads";
+  }
+
+ private:
+  bool regen_ = false;
+};
+
+TEST_P(GoldenTrace, SearchHillClimbThroughput) {
+  auto opt = golden_trace_options<hm::search::SearchOptions>(GetParam());
+  opt.steps = 6;
+  opt.candidates_per_step = 3;
+  const auto res = hm::search::SearchEngine(opt).run(
+      make_arrangement(ArrangementType::kBrickwall, 12));
+  check("search_hill_throughput.csv", hm::search::trace_to_csv(res.trace));
+}
+
+TEST_P(GoldenTrace, SearchAnnealLatency) {
+  auto opt = golden_trace_options<hm::search::SearchOptions>(GetParam());
+  opt.schedule = hm::search::Schedule::kAnneal;
+  opt.objective = hm::search::Objective::kZeroLoadLatency;
+  opt.steps = 8;
+  opt.candidates_per_step = 2;
+  opt.initial_temperature = 0.05;
+  const auto res = hm::search::SearchEngine(opt).run(
+      make_arrangement(ArrangementType::kHexaMesh, 13));
+  check("search_anneal_latency.csv", hm::search::trace_to_csv(res.trace));
+  check("search_anneal_latency.json", hm::search::trace_to_json(res.trace));
+}
+
+TEST_P(GoldenTrace, SearchAnnealZeroBaselineFloor) {
+  // A custom objective whose baseline is exactly 0 (link deficit against
+  // the start), so every row runs at the min_temperature floor.
+  auto opt = golden_trace_options<hm::search::SearchOptions>(GetParam());
+  opt.schedule = hm::search::Schedule::kAnneal;
+  opt.steps = 10;
+  opt.candidates_per_step = 1;
+  opt.seed = 3;
+  opt.min_temperature = 0.75;
+  const auto start = make_arrangement(ArrangementType::kHexaMesh, 13);
+  const auto start_links = static_cast<double>(start.graph().edge_count());
+  opt.objective.custom = [start_links](const hm::core::EvaluationResult& r) {
+    return static_cast<double>(r.link_count) - start_links;
+  };
+  const auto res = hm::search::SearchEngine(opt).run(start);
+  check("search_anneal_floor.csv", hm::search::trace_to_csv(res.trace));
+}
+
+TEST_P(GoldenTrace, TemperingThreeReplicasWithExchange) {
+  auto opt = golden_trace_options<hm::search::TemperingOptions>(GetParam());
+  opt.replicas = 3;
+  opt.steps = 8;
+  opt.candidates_per_step = 2;
+  opt.exchange_interval = 2;
+  const auto res = hm::search::TemperingEngine(opt).run(
+      make_arrangement(ArrangementType::kGrid, 9));
+  check("tempering_k3.csv", hm::search::trace_to_csv(res.trace));
+  check("tempering_k3.json", hm::search::trace_to_json(res.trace));
+}
+
+TEST_P(GoldenTrace, TemperingSingleReplica) {
+  auto opt = golden_trace_options<hm::search::TemperingOptions>(GetParam());
+  opt.replicas = 1;
+  opt.steps = 4;
+  opt.candidates_per_step = 2;
+  const auto res = hm::search::TemperingEngine(opt).run(
+      make_arrangement(ArrangementType::kGrid, 8));
+  check("tempering_k1.csv", hm::search::trace_to_csv(res.trace));
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, GoldenTrace,
                          ::testing::Values(1u, 4u, 8u),
                          [](const auto& info) {
                            return "t" + std::to_string(info.param);
