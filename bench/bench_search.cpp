@@ -103,80 +103,68 @@ void bench_incremental_rebuild(std::size_t n) {
   g_metrics["search.rebuild_speedup.n" + std::to_string(n)] = speedup;
 }
 
-/// End-to-end short search on the paper's headline 37-chiplet HexaMesh:
+/// Runs a short search with `Engine` from the paper's headline 37-chiplet
+/// HexaMesh and records what every engine reports under `prefix`:
 /// wall-clock, evaluation throughput, and the best/baseline score ratio
 /// (>= 1 by the monotonic-best invariant — recorded so a scoring or
-/// acceptance regression shows up as a dropped ratio).
-void bench_search_e2e() {
-  hm::search::SearchOptions opt;
+/// acceptance regression shows up as a dropped ratio). `evals_key` names
+/// the evaluation count.
+template <typename Engine, typename Options>
+auto run_e2e(Options opt, const std::string& prefix,
+             const std::string& evals_key) {
   opt.steps = g_smoke ? 4 : 12;
   opt.candidates_per_step = 2;
   opt.threads = 0;  // hardware concurrency
   opt.params.throughput_warmup = 1000;
   opt.params.throughput_measure = 1000;
-  const auto start = make_arrangement(ArrangementType::kHexaMesh, 37);
-
-  hm::search::SearchEngine engine(opt);
+  Engine engine(opt);
   const double t0 = now_seconds();
-  const auto res = engine.run(start);
+  auto res = engine.run(make_arrangement(ArrangementType::kHexaMesh, 37));
   const double wall = now_seconds() - t0;
 
+  const double evals = static_cast<double>(res.evaluations);
   const double ratio =
       res.baseline_score > 0.0 ? res.best_score / res.baseline_score : 0.0;
-  std::printf("%-40s %12.3f s\n", "search.e2e_wall_s.n37hm", wall);
-  std::printf("%-40s %12.1f evals\n", "search.e2e_evaluations.n37hm",
-              static_cast<double>(res.evaluations));
-  std::printf("%-40s %12.4f\n", "search.best_over_baseline.n37hm", ratio);
-  g_metrics["search.e2e_wall_s.n37hm"] = wall;
-  g_metrics["search.e2e_evaluations.n37hm"] =
-      static_cast<double>(res.evaluations);
-  g_metrics["search.e2e_evals_per_s.n37hm"] =
-      wall > 0.0 ? static_cast<double>(res.evaluations) / wall : 0.0;
-  g_metrics["search.best_over_baseline.n37hm"] = ratio;
-  g_metrics["search.incremental_rebuilds.n37hm"] =
+  std::printf("%-40s %12.3f s\n", (prefix + "e2e_wall_s.n37hm").c_str(),
+              wall);
+  std::printf("%-40s %12.1f evals\n", (prefix + evals_key).c_str(), evals);
+  std::printf("%-40s %12.4f\n", (prefix + "best_over_baseline.n37hm").c_str(),
+              ratio);
+  g_metrics[prefix + "e2e_wall_s.n37hm"] = wall;
+  g_metrics[prefix + evals_key] = evals;
+  g_metrics[prefix + "e2e_evals_per_s.n37hm"] =
+      wall > 0.0 ? evals / wall : 0.0;
+  g_metrics[prefix + "best_over_baseline.n37hm"] = ratio;
+  g_metrics[prefix + "incremental_rebuilds.n37hm"] =
       static_cast<double>(res.incremental_rebuilds);
+  return res;
 }
 
-/// Population-based counterpart of bench_search_e2e on the same N=37
-/// HexaMesh start: a short parallel-tempering run (3 replicas) with a
-/// comparable per-replica budget. The acceptance bar of the tempering PR
-/// is search.tempering.best_over_baseline.n37hm >= the single-chain
+/// Population-based counterpart of the single-chain run on the same start:
+/// a short parallel-tempering run (3 replicas) with a comparable
+/// per-replica budget. The acceptance bar of the tempering PR is
+/// search.tempering.best_over_baseline.n37hm >= the single-chain
 /// search.best_over_baseline.n37hm recorded in the same run (printed
 /// below; the monotone-best invariant plus the bigger evaluated population
 /// make the tempering ratio the easier side of the comparison).
 void bench_tempering_e2e() {
   hm::search::TemperingOptions opt;
   opt.replicas = 3;
-  opt.steps = g_smoke ? 4 : 12;
-  opt.candidates_per_step = 2;
   opt.exchange_interval = 3;
   // Short-budget ladder: the cold replica near-greedy (~0.3% of the
   // baseline score), the hot one at ~3% — at 12 steps a hotter ladder
   // random-walks its whole budget away.
   opt.initial_temperature = 0.03;
   opt.ladder_ratio = 0.3;
-  opt.threads = 0;  // hardware concurrency
-  opt.params.throughput_warmup = 1000;
-  opt.params.throughput_measure = 1000;
-  const auto start = make_arrangement(ArrangementType::kHexaMesh, 37);
+  const auto res = run_e2e<hm::search::TemperingEngine>(
+      opt, "search.tempering.", "evaluations.n37hm");
 
-  hm::search::TemperingEngine engine(opt);
-  const double t0 = now_seconds();
-  const auto res = engine.run(start);
-  const double wall = now_seconds() - t0;
-
-  const double ratio =
-      res.baseline_score > 0.0 ? res.best_score / res.baseline_score : 0.0;
+  const double ratio = g_metrics["search.tempering.best_over_baseline.n37hm"];
   const double exchange_rate =
       res.exchange_attempts > 0
           ? static_cast<double>(res.exchange_accepts) /
                 static_cast<double>(res.exchange_attempts)
           : 0.0;
-  std::printf("%-40s %12.3f s\n", "search.tempering.e2e_wall_s.n37hm", wall);
-  std::printf("%-40s %12.1f evals\n", "search.tempering.evaluations.n37hm",
-              static_cast<double>(res.evaluations));
-  std::printf("%-40s %12.4f\n", "search.tempering.best_over_baseline.n37hm",
-              ratio);
   std::printf("%-40s %12.4f\n", "search.tempering.exchange_accept_rate.n37hm",
               exchange_rate);
   const double single_chain = g_metrics["search.best_over_baseline.n37hm"];
@@ -184,15 +172,7 @@ void bench_tempering_e2e() {
               "tempering vs single-chain", ratio >= single_chain ? "OK"
                                                                  : "BEHIND",
               ratio, single_chain);
-  g_metrics["search.tempering.e2e_wall_s.n37hm"] = wall;
-  g_metrics["search.tempering.evaluations.n37hm"] =
-      static_cast<double>(res.evaluations);
-  g_metrics["search.tempering.e2e_evals_per_s.n37hm"] =
-      wall > 0.0 ? static_cast<double>(res.evaluations) / wall : 0.0;
-  g_metrics["search.tempering.best_over_baseline.n37hm"] = ratio;
   g_metrics["search.tempering.exchange_accept_rate.n37hm"] = exchange_rate;
-  g_metrics["search.tempering.incremental_rebuilds.n37hm"] =
-      static_cast<double>(res.incremental_rebuilds);
 }
 
 }  // namespace
@@ -205,7 +185,8 @@ int main(int argc, char** argv) {
               g_smoke ? " (smoke)" : "");
   bench_incremental_rebuild(37);
   bench_incremental_rebuild(91);
-  bench_search_e2e();
+  (void)run_e2e<hm::search::SearchEngine>(hm::search::SearchOptions{},
+                                          "search.", "e2e_evaluations.n37hm");
   bench_tempering_e2e();
   hm::bench::update_perf_json(g_metrics);
   return 0;

@@ -1,10 +1,11 @@
 // Arrangement search: start from a stock family arrangement and hunt for a
 // better one with the mutation-based optimizers, scoring candidates with
-// the paper's cycle-accurate pipeline. Two engines share the move set and
-// objective: the single-chain local search (hill climb / simulated
-// annealing) and the population-based parallel tempering of
-// search/tempering.hpp. Prints the baseline vs. the best state found and,
-// optionally, exports the deterministic step-by-step trace.
+// the paper's cycle-accurate pipeline. Two engines run on one chain core
+// (search/chain.hpp) with the same move set and objective: the
+// single-chain local search (hill climb / simulated annealing) and the
+// population-based parallel tempering of search/tempering.hpp. Prints the
+// baseline vs. the best state found (coldest-first final ladder for
+// tempering) and, optionally, exports the deterministic step-by-step trace.
 //
 //   ./search_arrangement [grid|brickwall|hexamesh] [N] [steps]
 //       --anneal            simulated annealing instead of hill climbing
@@ -26,6 +27,7 @@
 //       --chrome-trace F    record a Chrome trace (load in Perfetto);
 //                           distinct from --trace, which stays the
 //                           deterministic step-by-step search CSV
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -195,29 +197,25 @@ int main(int argc, char** argv) {
 
   try {
     const core::Arrangement start = core::make_arrangement(type, n);
-    // --cache-dir wins over HM_CACHE_DIR; either arms the persistent store
-    // under whichever engine runs below.
-    const std::string store_dir = hm::store::ResultStore::resolve_dir(cache_dir);
-
-    if (tempering_replicas > 0) {
-      hm::search::TemperingOptions opt;
-      opt.replicas = tempering_replicas;
-      opt.steps = steps;
-      opt.exchange_interval = exchange_interval;
+    // The options both engines share; --cache-dir wins over HM_CACHE_DIR,
+    // either arms the persistent store under whichever engine runs.
+    const auto configure = [&](hm::search::ChainOptions& opt) {
       opt.objective = objective;
+      opt.steps = steps;
       opt.threads = threads;
       opt.seed = seed;
       opt.params = params;
-      opt.cache_dir = store_dir;
-      opt.on_progress = [](const hm::search::TemperingProgress& p) {
-        std::fprintf(stderr, "\r[%zu/%zu] best %.4g", p.step, p.total,
-                     p.best_score);
-        if (p.step == p.total) std::fprintf(stderr, "\n");
-        std::fflush(stderr);
-      };
-      hm::search::TemperingEngine engine(opt);
-      const auto res = engine.run(start);
-
+      opt.cache_dir = hm::store::ResultStore::resolve_dir(cache_dir);
+    };
+    const auto progress = [](const auto& p) {
+      std::fprintf(stderr, "\r[%zu/%zu] best %.4g", p.step, p.total,
+                   p.best_score);
+      if (p.step == p.total) std::fprintf(stderr, "\n");
+      std::fflush(stderr);
+    };
+    // Prints either engine's result and exports its trace.
+    const auto report = [&](const hm::search::ChainResult& res,
+                            const std::string& summary, const auto& trace) {
       std::printf("start:  %s — %.4g %s\n", start.name().c_str(),
                   value(res.baseline_result), unit);
       std::printf("best:   %s, %zu links — %.4g %s (%+.2f%% score)\n",
@@ -225,65 +223,51 @@ int main(int argc, char** argv) {
                   value(res.best_result), unit,
                   100.0 * (res.best_score - res.baseline_score) /
                       std::abs(res.baseline_score));
-      std::printf("ladder:");
-      for (const double t : res.temperatures) std::printf(" %.3g", t);
-      std::printf(" (coldest -> hottest)\n");
       std::printf(
-          "search: %zu steps x %zu replicas, %zu/%zu exchanges accepted, "
-          "%zu evaluations (%llu cache hits), %llu incremental rebuilds, "
-          "%.1f s\n",
-          steps, opt.replicas, res.exchange_accepts, res.exchange_attempts,
-          res.evaluations,
+          "search: %s, %zu evaluations (%llu cache hits), %llu incremental "
+          "table rebuilds, %.1f s\n",
+          summary.c_str(), res.evaluations,
           static_cast<unsigned long long>(res.cache_hits),
           static_cast<unsigned long long>(res.incremental_rebuilds),
           res.wall_seconds);
       if (!trace_path.empty()) {
-        hm::search::export_trace_file(trace_path, res.trace);
+        hm::search::export_trace_file(trace_path, trace);
         std::printf("trace exported: %s\n", trace_path.c_str());
       }
-      tcli.finish();
-      return 0;
-    }
-
-    hm::search::SearchOptions opt;
-    opt.schedule = anneal ? hm::search::Schedule::kAnneal
-                          : hm::search::Schedule::kHillClimb;
-    opt.objective = objective;
-    opt.steps = steps;
-    opt.threads = threads;
-    opt.seed = seed;
-    opt.params = params;
-    opt.cache_dir = store_dir;
-    opt.on_progress = [](const hm::search::SearchProgress& p) {
-      std::fprintf(stderr, "\r[%zu/%zu] best %.4g", p.step, p.total,
-                   p.best_score);
-      if (p.step == p.total) std::fprintf(stderr, "\n");
-      std::fflush(stderr);
     };
-    hm::search::SearchEngine engine(opt);
-    const auto res = engine.run(start);
 
-    std::size_t accepted = 0;
-    for (const auto& s : res.trace) accepted += s.accepted ? 1 : 0;
-
-    std::printf("start:  %s — %.4g %s\n", start.name().c_str(),
-                value(res.baseline_result), unit);
-    std::printf("best:   %s, %zu links — %.4g %s (%+.2f%% score)\n",
-                res.best.name().c_str(), res.best.graph().edge_count(),
-                value(res.best_result), unit,
-                100.0 * (res.best_score - res.baseline_score) /
-                    std::abs(res.baseline_score));
-    std::printf(
-        "search: %zu steps, %zu accepted, %zu evaluations "
-        "(%llu cache hits), %llu incremental table rebuilds, %.1f s\n",
-        res.trace.size(), accepted, res.evaluations,
-        static_cast<unsigned long long>(res.cache_hits),
-        static_cast<unsigned long long>(res.incremental_rebuilds),
-        res.wall_seconds);
-
-    if (!trace_path.empty()) {
-      hm::search::export_trace_file(trace_path, res.trace);
-      std::printf("trace exported: %s\n", trace_path.c_str());
+    if (tempering_replicas > 0) {
+      hm::search::TemperingOptions opt;
+      configure(opt);
+      opt.replicas = tempering_replicas;
+      opt.exchange_interval = exchange_interval;
+      opt.on_progress = progress;
+      const auto res = hm::search::TemperingEngine(opt).run(start);
+      std::string summary = std::to_string(steps) + " steps x " +
+                            std::to_string(opt.replicas) + " replicas, " +
+                            std::to_string(res.exchange_accepts) + "/" +
+                            std::to_string(res.exchange_attempts) +
+                            " exchanges accepted, final ladder";
+      for (const double t : res.temperatures) {
+        char rung[32];
+        std::snprintf(rung, sizeof(rung), " %.3g", t);
+        summary += rung;
+      }
+      report(res, summary, res.trace);
+    } else {
+      hm::search::SearchOptions opt;
+      configure(opt);
+      opt.schedule = anneal ? hm::search::Schedule::kAnneal
+                            : hm::search::Schedule::kHillClimb;
+      opt.on_progress = progress;
+      const auto res = hm::search::SearchEngine(opt).run(start);
+      const auto accepted =
+          std::count_if(res.trace.begin(), res.trace.end(),
+                        [](const auto& s) { return s.accepted; });
+      report(res,
+             std::to_string(res.trace.size()) + " steps, " +
+                 std::to_string(accepted) + " accepted",
+             res.trace);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());

@@ -50,8 +50,8 @@ struct SweepPoint {
 
   /// Warm-start point: when set, this exact arrangement is evaluated
   /// instead of make_arrangement(type, chiplet_count) — the mechanism that
-  /// lets searched arrangements (SweepEngine::add_arrangement,
-  /// search::search_then_sweep) ride in the same sweep as the stock
+  /// lets searched arrangements (SweepEngine::add_arrangement, as
+  /// design_sweep --search uses it) ride in the same sweep as the stock
   /// families. `type`/`chiplet_count` mirror the custom arrangement;
   /// `label` replaces the family name in the CSV/JSON exports.
   std::shared_ptr<const core::Arrangement> custom;

@@ -1,102 +1,33 @@
 #include "search/search.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <memory>
-#include <sstream>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
-#include "explore/hash.hpp"
-#include "noc/rng.hpp"
-#include "noc/topology.hpp"
-#include "search/trace_io.hpp"
-#include "store/result_store.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 
 namespace hm::search {
 
-using detail::fmt;
-
 SearchEngine::SearchEngine() : SearchEngine(SearchOptions{}) {}
 
 SearchEngine::SearchEngine(SearchOptions options)
-    : options_(std::move(options)), pool_(options_.threads) {
-  if (!options_.cache_dir.empty()) {
-    cache_.attach_store(store::ResultStore::open(options_.cache_dir));
-  }
-}
-
-double SearchEngine::score_of(const core::EvaluationResult& r) const {
-  return score(options_.objective, r);
-}
+    : options_(std::move(options)), core_(options_) {}
 
 SearchResult SearchEngine::run(const core::Arrangement& start) {
-  if (start.chiplet_count() < 2) {
-    throw std::invalid_argument(
-        "SearchEngine: search needs >= 2 chiplets (nothing to simulate)");
-  }
-  if (!is_legal_arrangement(start)) {
-    throw std::invalid_argument(
-        "SearchEngine: start arrangement is not a legal search state");
-  }
-  if (options_.candidates_per_step == 0) {
-    throw std::invalid_argument(
-        "SearchEngine: candidates_per_step must be >= 1");
-  }
   if (!(options_.cooling > 0.0) || options_.cooling > 1.0) {
     throw std::invalid_argument("SearchEngine: cooling must be in (0, 1]");
   }
-  if (!(options_.min_temperature > 0.0)) {
-    throw std::invalid_argument("SearchEngine: min_temperature must be > 0");
-  }
-  options_.objective.validate();
-
-  // Only the half of the pipeline the objective scores is simulated.
-  core::EvaluationParams params = options_.params;
-  apply_measurement_selection(options_.objective, params);
-
-  const std::uint64_t param_key = explore::hash_combine(
-      explore::hash_combine(explore::hash_analytic_params(params),
-                            explore::hash_simulation_params(params)),
-      explore::hash_traffic(options_.traffic));
-  const auto evaluate_cached =
-      [&](const core::Arrangement& arr,
-          std::shared_ptr<const noc::TopologyContext> ctx) {
-        const std::uint64_t key = explore::hash_combine(
-            explore::hash_arrangement(arr), param_key);
-        const auto compute = [&] {
-          return core::evaluate(arr, params, options_.traffic, nullptr,
-                                std::move(ctx));
-        };
-        return options_.use_cache ? cache_.get_or_compute(key, compute)
-                                  : compute();
-      };
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  const std::uint64_t cache_hits0 = cache_.hits();
-  const std::uint64_t incr0 = noc::RoutingTables::incremental_builds();
-
-  auto current_ctx = noc::TopologyContext::acquire(start.graph());
-  core::Arrangement current = start;
-  const core::EvaluationResult baseline =
-      evaluate_cached(current, current_ctx);
-  double current_score = score_of(baseline);
-
   SearchResult result{start};
-  result.baseline_result = baseline;
-  result.baseline_score = current_score;
-  result.best_result = baseline;
-  result.best_score = current_score;
-  result.evaluations = 1;
+  std::vector<detail::ChainState> chain{
+      core_.begin("SearchEngine", start, result)};
+  const std::vector<std::uint64_t> stream{options_.seed};
   result.trace.reserve(options_.steps);
 
   // Temperature in absolute score units, scaled off the baseline magnitude
   // so the initial_temperature knob transfers across designs/objectives.
-  // A zero/near-zero baseline would scale the temperature to ~0 and
-  // silently turn annealing into hill climbing; min_temperature floors the
-  // effective per-step temperature instead (visible in the trace).
   const double temp_scale =
       std::abs(result.baseline_score) * options_.initial_temperature;
 
@@ -104,156 +35,24 @@ SearchResult SearchEngine::run(const core::Arrangement& start) {
   for (std::size_t step = 0; step < options_.steps; ++step) {
     telemetry::Span step_span("search.step");
     steps_run.add();
-    // All nondeterminism of a step flows from this seed, on this thread.
-    noc::Rng rng(noc::derive_seed(options_.seed, step));
-
-    std::vector<Candidate> cands;
-    cands.reserve(options_.candidates_per_step);
-    for (std::size_t slot = 0; slot < options_.candidates_per_step; ++slot) {
-      for (std::size_t t = 0; t < options_.max_proposal_tries; ++t) {
-        if (auto c = propose_mutation(current, rng)) {
-          cands.push_back(std::move(*c));
-          break;
-        }
-      }
-    }
-
     SearchStep rec;
-    rec.step = step;
-    rec.candidates = cands.size();
     if (options_.schedule == Schedule::kAnneal) {
       const double cooled =
           temp_scale * std::pow(options_.cooling, static_cast<double>(step));
       rec.temperature = std::max(cooled, options_.min_temperature);
       rec.temperature_floored = cooled < options_.min_temperature;
     }
-
-    if (!cands.empty()) {
-      // Evaluate the batch in parallel. Each job delta-builds (or adopts
-      // from the intern cache) its candidate's topology and scores it with
-      // the same fixed simulator seed — a pure function of the candidate,
-      // so the scores are identical at any thread count.
-      std::vector<double> scores(cands.size(), 0.0);
-      std::vector<core::EvaluationResult> evals(cands.size());
-      std::vector<std::shared_ptr<const noc::TopologyContext>> contexts(
-          cands.size());
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(cands.size());
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        jobs.push_back([&, i] {
-          contexts[i] =
-              noc::TopologyContext::rebuild_from(current_ctx, cands[i].edit);
-          evals[i] = evaluate_cached(cands[i].arrangement, contexts[i]);
-          scores[i] = score_of(evals[i]);
-        });
-      }
-      pool_.run_batch(jobs);
-      result.evaluations += cands.size();
-
-      // Deterministic selection: best score, ties to the lowest index.
-      std::size_t pick = 0;
-      for (std::size_t i = 1; i < cands.size(); ++i) {
-        if (scores[i] > scores[pick]) pick = i;
-      }
-      rec.kind = cands[pick].kind;
-      rec.candidate_score = scores[pick];
-
-      bool accept = scores[pick] > current_score;
-      if (!accept && options_.schedule == Schedule::kAnneal &&
-          rec.temperature > 0.0) {
-        const double p =
-            std::exp((scores[pick] - current_score) / rec.temperature);
-        accept = rng.uniform() < p;
-      }
-      if (accept) {
-        current = cands[pick].arrangement;
-        current_ctx = contexts[pick];
-        current_score = scores[pick];
-        rec.accepted = true;
-        if (scores[pick] > result.best_score) {
-          result.best = cands[pick].arrangement;
-          result.best_result = evals[pick];
-          result.best_score = scores[pick];
-          rec.improved_best = true;
-        }
-      }
-    }
-
-    rec.current_score = current_score;
-    rec.best_score = result.best_score;
-    rec.graph_digest = noc::graph_digest(current.graph());
-    rec.edge_count = current.graph().edge_count();
+    core_.step(step, stream, chain, {&rec}, result);
+    detail::record_state(rec, chain[0], result.best_score);
     result.trace.push_back(rec);
 
     if (options_.on_progress) {
-      SearchProgress progress;
-      progress.step = step + 1;
-      progress.total = options_.steps;
-      progress.best_score = result.best_score;
-      progress.last = &result.trace.back();
-      options_.on_progress(progress);
+      options_.on_progress({step + 1, options_.steps, result.best_score,
+                            &result.trace.back()});
     }
   }
-
-  result.cache_hits = cache_.hits() - cache_hits0;
-  result.incremental_rebuilds =
-      noc::RoutingTables::incremental_builds() - incr0;
-  result.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
+  core_.finish(result);
   return result;
-}
-
-void write_trace_csv(std::ostream& os, const std::vector<SearchStep>& trace) {
-  os << "step,mutation,candidates,accepted,improved_best,candidate_score,"
-        "current_score,best_score,temperature,temperature_floored,"
-        "graph_digest,edge_count\n";
-  for (const auto& s : trace) {
-    os << s.step << ',' << to_string(s.kind) << ',' << s.candidates << ','
-       << (s.accepted ? 1 : 0) << ',' << (s.improved_best ? 1 : 0) << ','
-       << fmt(s.candidate_score) << ',' << fmt(s.current_score) << ','
-       << fmt(s.best_score) << ',' << fmt(s.temperature) << ','
-       << (s.temperature_floored ? 1 : 0) << ',' << s.graph_digest << ','
-       << s.edge_count << '\n';
-  }
-}
-
-std::string trace_to_csv(const std::vector<SearchStep>& trace) {
-  std::ostringstream os;
-  write_trace_csv(os, trace);
-  return os.str();
-}
-
-void write_trace_json(std::ostream& os, const std::vector<SearchStep>& trace) {
-  os << "[\n";
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& s = trace[i];
-    os << "  {\"step\": " << s.step << ", \"mutation\": \"" << to_string(s.kind)
-       << "\", \"candidates\": " << s.candidates
-       << ", \"accepted\": " << (s.accepted ? "true" : "false")
-       << ", \"improved_best\": " << (s.improved_best ? "true" : "false")
-       << ", \"candidate_score\": " << fmt(s.candidate_score)
-       << ", \"current_score\": " << fmt(s.current_score)
-       << ", \"best_score\": " << fmt(s.best_score)
-       << ", \"temperature\": " << fmt(s.temperature)
-       << ", \"temperature_floored\": "
-       << (s.temperature_floored ? "true" : "false")
-       << ", \"graph_digest\": " << s.graph_digest
-       << ", \"edge_count\": " << s.edge_count << "}"
-       << (i + 1 < trace.size() ? ",\n" : "\n");
-  }
-  os << "]\n";
-}
-
-std::string trace_to_json(const std::vector<SearchStep>& trace) {
-  std::ostringstream os;
-  write_trace_json(os, trace);
-  return os.str();
-}
-
-void export_trace_file(const std::string& path,
-                       const std::vector<SearchStep>& trace) {
-  detail::export_trace(path, trace, &write_trace_csv, &write_trace_json);
 }
 
 }  // namespace hm::search

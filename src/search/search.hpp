@@ -4,41 +4,24 @@
 // arrangement families; SearchEngine *searches* the wider space of
 // (site occupancy, link subset) states around a start arrangement using the
 // mutation operators of search/mutation.hpp, scoring every candidate
-// through the same Sec. VI evaluate() pipeline the sweeps use. The pieces
-// the earlier PRs built are reused wholesale:
+// through the same Sec. VI evaluate() pipeline the sweeps use.
 //
-//   * candidate evaluations fan out across an explore::ThreadPool, each
-//     probe chain leasing its network from the per-worker SimulationArena;
-//   * results are memoized in a sharded explore::ResultCache keyed by the
-//     stable (arrangement, params, traffic) content hashes, so revisited
-//     states cost a lookup instead of a simulation;
-//   * every candidate's routing tables come from
-//     noc::TopologyContext::rebuild_from(current, edit) — the incremental
-//     rebuild path this PR adds — because a mutation step only perturbs one
-//     chiplet or one link, leaving most of the O(N^2 * deg) tables intact.
-//
-// Determinism contract (mirrors SweepEngine): each step's proposal and
-// acceptance RNG is seeded with noc::derive_seed(options.seed, step); every
-// candidate is evaluated with the same fixed simulator seed (comparing two
-// designs under identical traffic realizations); proposals and the
-// accept/reject decision run on the calling thread. The resulting search
-// trace is bit-identical at any thread count — pinned by test_search.
+// It is the single-chain (K = 1) case of the chain core in
+// search/chain.hpp, on a cooling schedule: hill climbing runs at
+// temperature 0 (strict improvements only), annealing at a geometrically
+// cooled temperature scaled off the baseline score. Step s draws from
+// noc::derive_seed(options.seed, s); the trace is bit-identical at any
+// thread count — pinned by test_search.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/evaluator.hpp"
-#include "explore/result_cache.hpp"
-#include "explore/thread_pool.hpp"
-#include "noc/traffic.hpp"
-#include "search/mutation.hpp"
-#include "search/objective.hpp"
+#include "core/arrangement.hpp"
+#include "search/chain.hpp"
 
 namespace hm::search {
 
@@ -50,77 +33,20 @@ enum class Schedule {
 
 struct SearchProgress;
 
-struct SearchOptions {
+struct SearchOptions : ChainOptions {
   Schedule schedule = Schedule::kHillClimb;
-  ObjectiveSpec objective;  ///< see search/objective.hpp; defaults to
-                            ///< saturation throughput
 
-  /// Mutation steps; each step proposes and evaluates a batch of
-  /// candidates and accepts at most one.
-  std::size_t steps = 48;
-
-  /// Candidates per step, evaluated as one parallel batch. Fixed by the
-  /// options — never by the thread count — so traces are thread-count
-  /// independent.
-  std::size_t candidates_per_step = 4;
-
-  /// Proposal redraws per candidate slot before the slot is skipped.
-  std::size_t max_proposal_tries = 8;
-
-  /// Annealing temperature, as a fraction of the baseline score magnitude
-  /// (so the knob is design-independent), and its per-step decay.
-  double initial_temperature = 0.02;
+  /// Per-step decay of the annealing temperature, in (0, 1].
   double cooling = 0.92;
-
-  /// Absolute floor on the per-step annealing temperature, in score units.
-  /// The relative scaling above degenerates silently when the baseline
-  /// score is zero or near zero (temperature ~ 0 turns kAnneal into hill
-  /// climbing); the floor keeps Metropolis acceptance alive regardless of
-  /// the baseline magnitude. Must be > 0. The effective (post-floor)
-  /// temperature is recorded per step in SearchStep::temperature, with
-  /// SearchStep::temperature_floored flagging steps where the floor bound.
-  double min_temperature = 1e-9;
-
-  /// Worker concurrency for candidate evaluation (see explore::ThreadPool);
-  /// 0 = hardware threads.
-  unsigned threads = 0;
-  bool use_cache = true;
-  /// Directory of a persistent store::ResultStore attached under the
-  /// result cache (empty = memory only). Re-searching a neighbourhood with
-  /// a warm store serves revisited states from disk instead of simulating.
-  std::string cache_dir;
-
-  /// Base of the per-step RNG derivation (noc::derive_seed(seed, step)).
-  unsigned long long seed = 42;
-
-  /// Evaluation pipeline configuration. The measurement-selection flags are
-  /// overridden to match `objective` (only the needed half runs).
-  core::EvaluationParams params;
-  noc::TrafficSpec traffic;
 
   /// Called after every completed step, on the calling thread.
   std::function<void(const SearchProgress&)> on_progress;
 };
 
-/// One step of the search trace. Only deterministic fields: scores, the
-/// selected mutation and the post-step state identity — never wall-clock
-/// times or cache/rebuild statistics (those are timing-dependent under
-/// concurrency and live in SearchResult instead).
-struct SearchStep {
-  std::size_t step = 0;
-  MutationKind kind = MutationKind::kNone;  ///< selected candidate's op
-  std::size_t candidates = 0;   ///< legal proposals evaluated this step
-  bool accepted = false;        ///< candidate became the current state
-  bool improved_best = false;   ///< candidate beat the best-so-far
-  double candidate_score = 0.0; ///< best candidate of the step (0 if none)
-  double current_score = 0.0;   ///< post-step current state
-  double best_score = 0.0;      ///< post-step best-so-far (monotone)
-  double temperature = 0.0;     ///< effective annealing temperature after
-                                ///< the min_temperature floor (0 = hill
-                                ///< climb)
-  bool temperature_floored = false;  ///< floor bound this step's temperature
-  std::uint64_t graph_digest = 0;  ///< post-step current graph digest
-  std::size_t edge_count = 0;      ///< post-step current link count
+/// One step of the search trace (see ChainStep).
+struct SearchStep : ChainStep {
+  bool temperature_floored = false;  ///< min_temperature bound this step's
+                                     ///< temperature
 };
 
 struct SearchProgress {
@@ -130,24 +56,10 @@ struct SearchProgress {
   const SearchStep* last = nullptr;
 };
 
-struct SearchResult {
-  /// Seeded with the start arrangement; `best` is replaced whenever a
-  /// candidate beats the best-so-far score.
-  explicit SearchResult(core::Arrangement initial) : best(std::move(initial)) {}
+struct SearchResult : ChainResult {
+  using ChainResult::ChainResult;
 
-  core::Arrangement best;  ///< best-scoring arrangement encountered
-  core::EvaluationResult best_result{};
-  double best_score = 0.0;
-  core::EvaluationResult baseline_result{};  ///< the start arrangement
-  double baseline_score = 0.0;
   std::vector<SearchStep> trace;  ///< one entry per step, deterministic
-
-  // Observability; timing-dependent under concurrency, excluded from the
-  // trace exports.
-  std::size_t evaluations = 0;       ///< simulated or cache-served scores
-  std::uint64_t cache_hits = 0;      ///< ResultCache hits during this run
-  std::uint64_t incremental_rebuilds = 0;  ///< delta-built routing tables
-  double wall_seconds = 0.0;
 };
 
 /// Runs the configured local search from a start arrangement.
@@ -161,22 +73,15 @@ class SearchEngine {
   /// result cache, so re-searching a neighbourhood is mostly lookups.
   [[nodiscard]] SearchResult run(const core::Arrangement& start);
 
-  [[nodiscard]] explore::ResultCache& cache() noexcept { return cache_; }
-  [[nodiscard]] unsigned thread_count() const noexcept {
-    return pool_.thread_count();
-  }
-
  private:
-  [[nodiscard]] double score_of(const core::EvaluationResult& r) const;
-
   SearchOptions options_;
-  explore::ThreadPool pool_;
-  explore::ResultCache cache_;
+  detail::Chain core_;  ///< holds a reference to options_
 };
 
-/// Trace serialization, mirroring explore/export.hpp: deterministic fields
-/// only, shortest-round-trip doubles, so traces compare byte-for-byte
-/// across thread counts.
+/// Trace serialization (with the chain core, in search/chain.cpp),
+/// mirroring explore/export.hpp: deterministic fields only,
+/// shortest-round-trip doubles, so traces compare byte-for-byte across
+/// thread counts.
 void write_trace_csv(std::ostream& os, const std::vector<SearchStep>& trace);
 [[nodiscard]] std::string trace_to_csv(const std::vector<SearchStep>& trace);
 void write_trace_json(std::ostream& os, const std::vector<SearchStep>& trace);

@@ -1,15 +1,10 @@
 // Population-based parallel-tempering search over chiplet arrangements.
 //
 // Where search/search.hpp runs ONE chain (hill climb or a cooling anneal),
-// TemperingEngine runs K replicas of the same mutation/evaluate pipeline
-// concurrently, each at a temperature of a geometric ladder:
+// TemperingEngine runs K chains of the chain core (search/chain.hpp) —
+// replicas — concurrently, each at a temperature of a geometric ladder:
 //
 //     T_k = max(T_hot * ladder_ratio^(K-1-k), min_temperature)
-//
-// With adapt_ladder (the default) the spacing self-tunes: after each
-// exchange sweep the ratio moves toward the value that keeps adjacent
-// replicas swapping at target_exchange_acceptance, deterministically,
-// from the sweep's own (deterministic) acceptance count.
 //
 // with replica K-1 the hottest (T_hot = |baseline| * initial_temperature,
 // floored) and replica 0 the coldest, near-greedy one. Hot replicas cross
@@ -23,14 +18,13 @@
 // replica while the population keeps exploring. Alternating even/odd pair
 // sweeps let a configuration traverse the whole ladder.
 //
-// Everything heavy is reused from the earlier PRs: candidate evaluations
-// fan out across one explore::ThreadPool (per-worker SimulationArena
-// networks, sharded explore::ResultCache memoization), and each candidate's
-// routing tables are delta-built from its replica's current context via
-// noc::TopologyContext::rebuild_from.
+// The ladder adapts: after each exchange sweep the ratio moves toward the
+// value that keeps adjacent replicas swapping at 30% acceptance,
+// deterministically, from the sweep's own (deterministic) acceptance count.
+// The hottest rung stays fixed; only the spacing adapts.
 //
-// Determinism contract (mirrors SearchEngine, pinned by test_tempering):
-// replica k's proposal/acceptance RNG for step s is seeded
+// Determinism contract (pinned by test_tempering): replica k's
+// proposal/acceptance RNG for step s is seeded
 // derive_seed(derive_seed(seed, kReplicaSalt + k), s); the exchange RNG for
 // (step s, pair p) is seeded
 // derive_seed(derive_seed(derive_seed(seed, kExchangeSalt), s), p). All
@@ -40,104 +34,47 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/evaluator.hpp"
-#include "explore/result_cache.hpp"
-#include "explore/thread_pool.hpp"
-#include "noc/traffic.hpp"
-#include "search/mutation.hpp"
-#include "search/objective.hpp"
+#include "core/arrangement.hpp"
+#include "search/chain.hpp"
 
 namespace hm::search {
 
 struct TemperingProgress;
 
-struct TemperingOptions {
+struct TemperingOptions : ChainOptions {
+  TemperingOptions() {
+    candidates_per_step = 2;    // per replica per step
+    initial_temperature = 0.08;  // of the hottest replica
+  }
+
   /// Replica count K (>= 1; K == 1 is a single fixed-temperature chain).
+  /// Every step advances all K replicas by one propose/evaluate/accept
+  /// round (one parallel batch of K * candidates_per_step evaluations).
   std::size_t replicas = 4;
-
-  /// Mutation steps; every step advances all K replicas by one
-  /// propose/evaluate/accept round (one parallel batch of
-  /// K * candidates_per_step evaluations).
-  std::size_t steps = 48;
-
-  /// Candidates per replica per step. Like SearchOptions, fixed by the
-  /// options — never the thread count — so traces are thread-independent.
-  std::size_t candidates_per_step = 2;
-
-  /// Proposal redraws per candidate slot before the slot is skipped.
-  std::size_t max_proposal_tries = 8;
 
   /// Steps between replica-exchange sweeps (>= 1). Pair parity alternates
   /// between sweeps (0-1/2-3/... then 1-2/3-4/...).
   std::size_t exchange_interval = 4;
 
-  /// Hottest-replica temperature as a fraction of |baseline score| (same
-  /// design-independent semantics as SearchOptions::initial_temperature),
-  /// the geometric ladder ratio between adjacent replicas (in (0, 1]), and
-  /// the absolute floor every rung is clamped to (> 0; keeps the ladder
-  /// meaningful when the baseline score is zero or near zero).
-  double initial_temperature = 0.08;
+  /// Initial geometric ratio between adjacent rungs, in (0, 1].
   double ladder_ratio = 0.5;
-  double min_temperature = 1e-9;
-
-  /// Adapt `ladder_ratio` between exchange sweeps: after each sweep the
-  /// ratio moves (deterministically, from the sweep's own acceptance count)
-  /// toward the rate that keeps adjacent replicas exchanging at
-  /// `target_exchange_acceptance` — too few swaps pushes the ratio toward 1
-  /// (rungs closer together), too many spreads the ladder out. The hottest
-  /// rung stays fixed; only the spacing adapts. Adaptation is a pure
-  /// function of the (deterministic) exchange outcomes, so traces remain
-  /// byte-identical at any thread count.
-  bool adapt_ladder = true;
-  double target_exchange_acceptance = 0.3;
-
-  ObjectiveSpec objective;  ///< see search/objective.hpp
-
-  /// Worker concurrency for candidate evaluation; 0 = hardware threads.
-  unsigned threads = 0;
-  bool use_cache = true;
-  /// Directory of a persistent store::ResultStore attached under the
-  /// result cache (empty = memory only); see SearchOptions::cache_dir.
-  std::string cache_dir;
-
-  /// Base of every RNG derivation (see the determinism contract above).
-  unsigned long long seed = 42;
-
-  /// Evaluation pipeline configuration; measurement-selection flags are
-  /// overridden to match `objective`.
-  core::EvaluationParams params;
-  noc::TrafficSpec traffic;
 
   /// Called after every completed step (all replicas advanced, exchanges
   /// done), on the calling thread.
   std::function<void(const TemperingProgress&)> on_progress;
 };
 
-/// One (step, replica) row of the tempering trace. Deterministic fields
-/// only — scores, the selected mutation, exchange outcomes and the
-/// post-step state identity; never wall-clock or cache statistics.
-struct TemperingStep {
-  std::size_t step = 0;
+/// One (step, replica) row of the tempering trace (see ChainStep; the
+/// temperature is the replica's rung at this step).
+struct TemperingStep : ChainStep {
   std::size_t replica = 0;
-  double temperature = 0.0;  ///< this replica's (floored) rung at this step
-  MutationKind kind = MutationKind::kNone;  ///< selected candidate's op
-  std::size_t candidates = 0;  ///< legal proposals evaluated this step
-  bool accepted = false;       ///< candidate became the replica's state
-  bool improved_best = false;  ///< candidate beat the global best-so-far
-  double candidate_score = 0.0;  ///< best candidate of the step (0 if none)
-  double current_score = 0.0;    ///< post-step (post-exchange) replica state
-  double best_score = 0.0;       ///< post-step global best (monotone)
-  bool exchanged = false;        ///< replica swapped configurations
-  int exchange_partner = -1;     ///< partner replica index (-1 = none)
-  std::uint64_t graph_digest = 0;  ///< post-step replica graph digest
-  std::size_t edge_count = 0;      ///< post-step replica link count
+  bool exchanged = false;     ///< replica swapped configurations
+  int exchange_partner = -1;  ///< partner replica index (-1 = none)
 };
 
 struct TemperingProgress {
@@ -149,22 +86,15 @@ struct TemperingProgress {
   std::size_t replicas = 0;
 };
 
-struct TemperingResult {
-  explicit TemperingResult(core::Arrangement initial)
-      : best(std::move(initial)) {}
-
-  core::Arrangement best;  ///< best-scoring arrangement across all replicas
-  core::EvaluationResult best_result{};
-  double best_score = 0.0;
-  core::EvaluationResult baseline_result{};  ///< the start arrangement
-  double baseline_score = 0.0;
+struct TemperingResult : ChainResult {
+  using ChainResult::ChainResult;
 
   /// Temperature ladder in effect when the run ended, coldest first (after
-  /// flooring). With adapt_ladder the spacing may differ from the initial
-  /// ladder_ratio; trace rows carry the rung each step actually used.
+  /// flooring). Adaptation may have moved the spacing away from the
+  /// initial ladder_ratio; trace rows carry the rung each step actually
+  /// used.
   std::vector<double> temperatures;
-  /// Ladder ratio in effect when the run ended (== options.ladder_ratio
-  /// unless adapt_ladder moved it).
+  /// Ladder ratio in effect when the run ended.
   double final_ladder_ratio = 0.0;
   /// Final per-replica current scores, coldest first.
   std::vector<double> replica_scores;
@@ -174,13 +104,6 @@ struct TemperingResult {
 
   std::size_t exchange_attempts = 0;
   std::size_t exchange_accepts = 0;
-
-  // Observability; timing-dependent under concurrency, excluded from the
-  // trace exports.
-  std::size_t evaluations = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t incremental_rebuilds = 0;
-  double wall_seconds = 0.0;
 };
 
 /// Runs parallel tempering from a start arrangement (all replicas start
@@ -195,19 +118,14 @@ class TemperingEngine {
   /// result cache.
   [[nodiscard]] TemperingResult run(const core::Arrangement& start);
 
-  [[nodiscard]] explore::ResultCache& cache() noexcept { return cache_; }
-  [[nodiscard]] unsigned thread_count() const noexcept {
-    return pool_.thread_count();
-  }
-
  private:
   TemperingOptions options_;
-  explore::ThreadPool pool_;
-  explore::ResultCache cache_;
+  detail::Chain core_;  ///< holds a reference to options_
 };
 
-/// Trace serialization, mirroring search/search.hpp: deterministic fields
-/// only, shortest-round-trip doubles.
+/// Trace serialization (with the chain core, in search/chain.cpp),
+/// mirroring search/search.hpp: deterministic fields only,
+/// shortest-round-trip doubles.
 void write_trace_csv(std::ostream& os, const std::vector<TemperingStep>& trace);
 [[nodiscard]] std::string trace_to_csv(const std::vector<TemperingStep>& trace);
 void write_trace_json(std::ostream& os,

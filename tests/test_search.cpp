@@ -3,10 +3,15 @@
 // random edit sequences (the byte-identical rebuild contract of
 // TopologyContext::rebuild_from), intern-cache interchangeability of
 // delta-built and from-scratch contexts, thread-count-independent search
-// traces, and the annealing monotonic-best invariant.
+// traces, the annealing monotonic-best invariant, and the result-store keys
+// a --cache-dir search writes.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -15,12 +20,15 @@
 
 #include "core/arrangement.hpp"
 #include "cost/cost_model.hpp"
+#include "explore/hash.hpp"
 #include "graph/algorithms.hpp"
 #include "noc/rng.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
 #include "search/mutation.hpp"
 #include "search/search.hpp"
+#include "store/record.hpp"
+#include "store/result_store.hpp"
 
 namespace {
 
@@ -487,11 +495,84 @@ TEST(SearchEngine, RejectsDegenerateInputs) {
   hm::search::SearchEngine engine{hm::search::SearchOptions{}};
   EXPECT_THROW((void)engine.run(make_arrangement(ArrangementType::kGrid, 1)),
                std::invalid_argument);
-  auto bad = hm::search::SearchOptions{};
-  bad.candidates_per_step = 0;
-  hm::search::SearchEngine engine2(bad);
-  EXPECT_THROW((void)engine2.run(make_arrangement(ArrangementType::kGrid, 9)),
-               std::invalid_argument);
+  // Degenerate settings are rejected before any evaluation rather than
+  // left to run a search that proposes nothing or anneals at a NaN
+  // temperature (which never accepts a downhill move).
+  const std::vector<std::function<void(hm::search::SearchOptions&)>> bad = {
+      [](auto& o) { o.candidates_per_step = 0; },
+      [](auto& o) { o.max_proposal_tries = 0; },
+      [](auto& o) {
+        o.initial_temperature = std::numeric_limits<double>::quiet_NaN();
+      },
+      [](auto& o) {
+        o.initial_temperature = std::numeric_limits<double>::infinity();
+      },
+      [](auto& o) { o.initial_temperature = -0.01; },
+      [](auto& o) { o.cooling = 0.0; },
+      [](auto& o) { o.min_temperature = 0.0; },
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    auto opt = hm::search::SearchOptions{};
+    opt.schedule = hm::search::Schedule::kAnneal;
+    bad[i](opt);
+    hm::search::SearchEngine engine2(opt);
+    EXPECT_THROW((void)engine2.run(make_arrangement(ArrangementType::kGrid, 9)),
+                 std::invalid_argument)
+        << "case " << i;
+  }
+}
+
+TEST(SearchEngine, CacheDirStoresSearchKeysAndWarmRunReplays) {
+  namespace fs = std::filesystem;
+  namespace ex = hm::explore;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("hm_search_store_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  auto opt = fast_options();
+  opt.cache_dir = dir.string();
+  const auto start = make_arrangement(ArrangementType::kGrid, 9);
+
+  std::string cold_csv;
+  std::vector<std::uint8_t> baseline_bytes;
+  {
+    hm::search::SearchEngine engine(opt);
+    const auto res = engine.run(start);
+    cold_csv = hm::search::trace_to_csv(res.trace);
+    hm::store::encode_result(res.baseline_result, baseline_bytes);
+  }  // the engine's cache flushes to the store here
+
+  // The key every existing store holds: the arrangement hash combined with
+  // the (analytic, simulation, traffic) hash of the objective-selected
+  // params. No analytic-only record is written next to it.
+  auto params = opt.params;
+  hm::search::apply_measurement_selection(opt.objective, params);
+  const std::uint64_t arr_key = ex::hash_arrangement(start);
+  const std::uint64_t key = ex::hash_combine(
+      arr_key, ex::hash_combine(ex::hash_combine(ex::hash_analytic_params(params),
+                                                 ex::hash_simulation_params(params)),
+                                ex::hash_traffic(opt.traffic)));
+  {
+    const auto store = hm::store::ResultStore::open(dir.string());
+    const auto hit = store->lookup(key);
+    ASSERT_TRUE(hit.has_value());
+    std::vector<std::uint8_t> stored_bytes;
+    hm::store::encode_result(*hit, stored_bytes);
+    EXPECT_EQ(stored_bytes, baseline_bytes);
+    EXPECT_FALSE(store
+                     ->lookup(ex::hash_combine(
+                         arr_key, ex::hash_analytic_params(params)))
+                     .has_value());
+  }
+
+  // A fresh engine on the warm store replays the search byte for byte,
+  // every score served from the store.
+  {
+    hm::search::SearchEngine warm(opt);
+    const auto res = warm.run(start);
+    EXPECT_EQ(hm::search::trace_to_csv(res.trace), cold_csv);
+    EXPECT_EQ(res.cache_hits, res.evaluations);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

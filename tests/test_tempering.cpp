@@ -2,12 +2,14 @@
 // (search/tempering.hpp): thread-count-independent traces, the geometric
 // (floored) temperature ladder, replica-exchange bookkeeping, the global
 // monotone-best invariant, option validation, and warm-started sweeps
-// (SweepEngine::add_arrangement / search::search_then_sweep) riding
-// searched arrangements alongside the stock families.
+// (SweepEngine::add_arrangement) riding searched arrangements alongside
+// the stock families.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,7 +17,6 @@
 #include "explore/export.hpp"
 #include "explore/sweep.hpp"
 #include "search/tempering.hpp"
-#include "search/warm_start.hpp"
 
 namespace {
 
@@ -165,35 +166,29 @@ TEST(TemperingEngine, SingleReplicaNeverExchanges) {
 
 TEST(TemperingEngine, RejectsDegenerateOptions) {
   const auto start = make_arrangement(ArrangementType::kGrid, 9);
-  {
+  // A NaN initial_temperature would make the whole ladder NaN (no downhill
+  // move or exchange ever accepted); zero proposal tries would propose
+  // nothing.
+  const std::vector<std::function<void(TemperingOptions&)>> bad = {
+      [](auto& o) { o.replicas = 0; },
+      [](auto& o) { o.exchange_interval = 0; },
+      [](auto& o) { o.ladder_ratio = 0.0; },
+      [](auto& o) { o.min_temperature = 0.0; },
+      [](auto& o) { o.objective.area_weight = -1.0; },
+      [](auto& o) { o.max_proposal_tries = 0; },
+      [](auto& o) {
+        o.initial_temperature = std::numeric_limits<double>::quiet_NaN();
+      },
+      [](auto& o) {
+        o.initial_temperature = -std::numeric_limits<double>::infinity();
+      },
+      [](auto& o) { o.initial_temperature = -0.5; },
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
     auto opt = fast_options();
-    opt.replicas = 0;
-    EXPECT_THROW((void)TemperingEngine(opt).run(start),
-                 std::invalid_argument);
-  }
-  {
-    auto opt = fast_options();
-    opt.exchange_interval = 0;
-    EXPECT_THROW((void)TemperingEngine(opt).run(start),
-                 std::invalid_argument);
-  }
-  {
-    auto opt = fast_options();
-    opt.ladder_ratio = 0.0;
-    EXPECT_THROW((void)TemperingEngine(opt).run(start),
-                 std::invalid_argument);
-  }
-  {
-    auto opt = fast_options();
-    opt.min_temperature = 0.0;
-    EXPECT_THROW((void)TemperingEngine(opt).run(start),
-                 std::invalid_argument);
-  }
-  {
-    auto opt = fast_options();
-    opt.objective.area_weight = -1.0;
-    EXPECT_THROW((void)TemperingEngine(opt).run(start),
-                 std::invalid_argument);
+    bad[i](opt);
+    EXPECT_THROW((void)TemperingEngine(opt).run(start), std::invalid_argument)
+        << "case " << i;
   }
   EXPECT_THROW((void)TemperingEngine(fast_options())
                    .run(make_arrangement(ArrangementType::kGrid, 1)),
@@ -249,26 +244,29 @@ TEST(WarmStartedSweep, AddArrangementAppendsLabelledPoints) {
 }
 
 TEST(WarmStartedSweep, SearchThenSweepIsThreadCountIndependent) {
+  // The three calls design_sweep --search makes: search, register the best
+  // arrangement as a labelled sweep point, run the sweep.
+  const auto start = make_arrangement(ArrangementType::kHexaMesh, 7);
+  const std::string label = "searched:" + start.name();
   std::string reference;
   for (const unsigned threads : {1u, 4u}) {
     auto topt = fast_options();
     topt.steps = 2;
     topt.threads = threads;
+    const auto searched = TemperingEngine(topt).run(start);
+    EXPECT_GE(searched.best_score, searched.baseline_score);
+
     hm::explore::SweepEngine::Options sopt;
     sopt.threads = threads;
     hm::explore::SweepEngine engine(sopt);
-    const auto out = hm::search::search_then_sweep(
-        make_arrangement(ArrangementType::kHexaMesh, 7), topt, engine,
-        small_spec());
+    engine.add_arrangement(searched.best, label);
+    const auto records = engine.run(small_spec());
 
-    ASSERT_EQ(out.records.size(), 3u);
-    EXPECT_TRUE(out.records.back().point.custom != nullptr);
-    EXPECT_EQ(out.records.back().point.label,
-              "searched:" + make_arrangement(ArrangementType::kHexaMesh, 7)
-                                .name());
-    EXPECT_GE(out.tempering.best_score, out.tempering.baseline_score);
+    ASSERT_EQ(records.size(), 3u);
+    EXPECT_TRUE(records.back().point.custom != nullptr);
+    EXPECT_EQ(records.back().point.label, label);
 
-    const std::string csv = hm::explore::to_csv(out.records);
+    const std::string csv = hm::explore::to_csv(records);
     if (reference.empty()) {
       reference = csv;
     } else {
