@@ -1,15 +1,20 @@
 // hm_cache: maintenance CLI for persistent result stores (src/store/).
 //
 //   ./hm_cache stats DIR          entry/segment/byte counts
-//   ./hm_cache verify DIR         offline integrity walk; exit 1 when any
-//                                 corruption or a stale index is found
+//   ./hm_cache verify DIR         offline integrity walk of every segment;
+//                                 exit 1 when any corruption is found
 //   ./hm_cache merge DST SRC...   import entries absent in DST from each
-//                                 SRC store, then flush DST
+//                                 SRC store, then flush DST (created if
+//                                 missing)
 //   ./hm_cache compact DIR        rewrite live entries into one segment,
 //                                 dropping superseded records
+//
+// Every DIR and SRC must be an existing directory: a store that is only
+// read is never created, and a missing one exits 1 before anything opens.
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <string>
 
 #include "store/result_store.hpp"
@@ -32,6 +37,19 @@ void print_stats(const hm::store::StoreStats& s, const char* dir) {
               s.superseded_records, s.pending);
 }
 
+/// Exits 1 unless every argv[first..] names an existing directory.
+void require_dirs(int argc, char** argv, int first) {
+  bool ok = true;
+  for (int i = first; i < argc; ++i) {
+    std::error_code ec;
+    if (!std::filesystem::is_directory(argv[i], ec)) {
+      std::fprintf(stderr, "%s: no such store directory\n", argv[i]);
+      ok = false;
+    }
+  }
+  if (!ok) std::exit(1);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -40,18 +58,16 @@ int main(int argc, char** argv) {
 
   try {
     if (command == "stats" && argc == 3) {
+      require_dirs(argc, argv, 2);
       print_stats(hm::store::ResultStore::open(argv[2])->stats(), argv[2]);
       return 0;
     }
     if (command == "verify" && argc == 3) {
       const auto report = hm::store::ResultStore::verify(argv[2]);
       std::printf("%s: %zu segments, %zu records, %zu corrupt, "
-                  "%zu foreign segments, index %s\n",
+                  "%zu foreign segments\n",
                   argv[2], report.segments, report.records,
-                  report.corrupt_records, report.foreign_segments,
-                  !report.index_present ? "absent"
-                  : report.index_ok     ? "ok"
-                                        : "BAD");
+                  report.corrupt_records, report.foreign_segments);
       for (const auto& issue : report.issues) {
         std::fprintf(stderr, "  issue: %s\n", issue.c_str());
       }
@@ -63,6 +79,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "merge" && argc >= 4) {
+      require_dirs(argc, argv, 3);
       const auto dst = hm::store::ResultStore::open(argv[2]);
       std::size_t imported = 0;
       for (int i = 3; i < argc; ++i) {
@@ -77,6 +94,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "compact" && argc == 3) {
+      require_dirs(argc, argv, 2);
       const auto store = hm::store::ResultStore::open(argv[2]);
       const auto before = store->stats();
       store->compact();

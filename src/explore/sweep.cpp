@@ -87,17 +87,10 @@ SweepRecord SweepEngine::evaluate_point(const SweepPoint& point) {
     const core::Arrangement arr =
         point.custom ? *point.custom
                      : core::make_arrangement(point.type, point.chiplet_count);
-    // Intra-design probes go through a per-job bounded adapter so one job
-    // cannot flood the shared pool with speculative probes (policy in
-    // Options::intra_design_parallelism / max_intra_probes).
-    BoundedProbeExecutor bounded(&pool_, options_.max_intra_probes);
-    noc::ProbeExecutor* executor =
-        options_.intra_design_parallelism ? &bounded : nullptr;
-
     CachedEvalOutcome outcome;
     rec.result = cached_evaluate(arr, point.params, point.traffic,
                                  options_.use_cache ? &cache_ : nullptr,
-                                 executor, &outcome);
+                                 nullptr, &outcome);
     rec.from_cache = outcome.from_cache;
     rec.analytic_only = outcome.analytic_only;
   } catch (const std::exception& e) {

@@ -115,27 +115,6 @@ class SweepEngine {
     /// Total worker concurrency (see ThreadPool); 0 = hardware threads.
     unsigned threads = 0;
     bool use_cache = true;
-    /// Parallelize the probes *inside* one design evaluation too (the
-    /// latency run and the speculative saturation probes). Worthwhile when
-    /// the sweep has fewer points than threads; off by default because a
-    /// saturated pool gains nothing from the extra speculative probes.
-    ///
-    /// Scheduling policy: intra-design probes share the one sweep pool
-    /// with every other job (no extra threads are ever spawned, so the
-    /// pool cannot oversubscribe the machine), but each job's probe
-    /// batches are throttled through a BoundedProbeExecutor so at most
-    /// `max_intra_probes` of its probes are in flight at once. Without the
-    /// cap, N concurrent jobs each fanning out speculative saturation
-    /// probes flood the queue with work the binary search may discard,
-    /// and every issuing worker sits idle in its nested batch wait
-    /// ("deadlock-idle": forward progress is guaranteed — the issuer
-    /// drains its own batch — but a worker waiting on nested stragglers
-    /// cannot steal other batches' work). The cap bounds that waste per
-    /// job; results are bit-identical either way.
-    bool intra_design_parallelism = false;
-    /// In-flight cap per job for intra-design probes (see above). <= 1
-    /// runs every intra-design probe inline on the job's own worker.
-    std::size_t max_intra_probes = 4;
     /// Directory of a persistent store::ResultStore attached under the
     /// cache (opened/created in the constructor; empty = memory only).
     /// A warm store turns re-runs of the same sweep into pure lookups.

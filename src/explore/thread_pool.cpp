@@ -142,27 +142,4 @@ void ThreadPool::run_batch(std::vector<std::function<void()>>& jobs) {
   if (batch->error) std::rethrow_exception(batch->error);
 }
 
-void BoundedProbeExecutor::run_batch(std::vector<std::function<void()>>& jobs) {
-  if (inner_ == nullptr || max_in_flight_ <= 1) {
-    for (auto& job : jobs) job();
-    return;
-  }
-  for (std::size_t begin = 0; begin < jobs.size(); begin += max_in_flight_) {
-    const std::size_t end = std::min(jobs.size(), begin + max_in_flight_);
-    if (end - begin == 1) {
-      jobs[begin]();
-      continue;
-    }
-    // Forwarding wrappers: the chunk borrows the caller's callables in
-    // place, so nothing is moved out of `jobs` (the batch contract says
-    // every job runs exactly once, not that the vector is consumed).
-    std::vector<std::function<void()>> chunk;
-    chunk.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      chunk.emplace_back([&job = jobs[i]] { job(); });
-    }
-    inner_->run_batch(chunk);
-  }
-}
-
 }  // namespace hm::explore

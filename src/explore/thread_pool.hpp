@@ -4,8 +4,9 @@
 // batch has run exactly once. The calling thread always participates in its
 // own batch, which gives two properties the sweep engine relies on:
 //   * nested batches cannot deadlock — a pool thread that issues a batch of
-//     its own (e.g. a sweep job whose saturation search speculates probes)
-//     drains that batch itself even when every worker is busy, and
+//     its own (e.g. a job whose evaluate() speculates saturation probes
+//     through the same pool) drains that batch itself even when every
+//     worker is busy, and
 //   * ThreadPool(1) degenerates to plain sequential execution, the baseline
 //     that multi-threaded sweeps must reproduce bit for bit.
 #pragma once
@@ -59,37 +60,6 @@ class ThreadPool final : public noc::ProbeExecutor {
   std::condition_variable cv_;
   std::deque<std::shared_ptr<Batch>> open_batches_;
   bool stop_ = false;
-};
-
-/// ProbeExecutor adapter that caps how many jobs of one batch are in flight
-/// at once: run_batch slices the batch into chunks of at most
-/// `max_in_flight` jobs and runs the chunks through the inner executor one
-/// after another (single-job chunks run inline on the caller).
-///
-/// This is the throttle for intra-design parallelism (see
-/// SweepEngine::Options::intra_design_parallelism): a sweep job's
-/// speculative saturation probes share the one process-wide pool with every
-/// other sweep job, and an uncapped speculative batch from each of N
-/// concurrent jobs floods the pool with probes that the binary search may
-/// discard, while each issuing worker sits "deadlock-idle" in its nested
-/// run_batch wait (it cannot steal other batches' work while waiting for
-/// its own stragglers). Chunking bounds both: at most `max_in_flight`
-/// speculative probes per job compete for workers, and the issuing thread
-/// re-joins its own batch every chunk. Results are unaffected — chunking
-/// only changes scheduling, and every probe's outcome is a pure function of
-/// its inputs.
-class BoundedProbeExecutor final : public noc::ProbeExecutor {
- public:
-  /// `inner == nullptr` or `max_in_flight <= 1` degenerate to running every
-  /// job inline on the calling thread.
-  BoundedProbeExecutor(noc::ProbeExecutor* inner, std::size_t max_in_flight)
-      : inner_(inner), max_in_flight_(max_in_flight) {}
-
-  void run_batch(std::vector<std::function<void()>>& jobs) override;
-
- private:
-  noc::ProbeExecutor* inner_;
-  std::size_t max_in_flight_;
 };
 
 }  // namespace hm::explore

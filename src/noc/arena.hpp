@@ -18,9 +18,8 @@
 // network is bit-identical to the same probe on a fresh Network. The RNG
 // seed is deliberately not part of the reuse key — the Simulator re-seeds
 // the leased network's per-router RNG streams via Network::seed_rngs, so
-// no seed-dependent state survives a lease — and consecutive probes of a
-// sweep job therefore hit the arena even when per-job/per-probe seeds
-// differ.
+// no seed-dependent state survives a lease — and consecutive sweep jobs
+// therefore hit the arena even when their per-job seeds differ.
 #pragma once
 
 #include <cstdint>

@@ -265,21 +265,17 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   telemetry::Span search_span("sat.search");
   SaturationResult result;
 
-  // A probe's outcome is a pure function of its offered rate: it runs on a
-  // fresh network whose seed depends only on (cfg.seed, rate). That is the
-  // invariant that makes speculative parallel probing below bit-identical
-  // to the sequential search.
+  // A probe's outcome is a pure function of its offered rate: every probe
+  // runs on a fresh network seeded with cfg.seed. That is the invariant that
+  // makes speculative parallel probing below bit-identical to the
+  // sequential search.
   auto run_one = [&](double rate) {
     telemetry::Span span("sat.probe");
     static telemetry::Counter probes_run("sat.probes");
     probes_run.add();
-    SimConfig probe_cfg = cfg;
-    if (opts.per_probe_seeds) {
-      probe_cfg.seed = derive_seed(cfg.seed, saturation_rate_key(rate));
-    }
     // Reset-and-reuse network from the calling worker's arena (bit-identical
     // to a fresh network on the shared topology, minus the allocator churn).
-    Simulator sim(SimulationArena::local(), topo, probe_cfg);
+    Simulator sim(SimulationArena::local(), topo, cfg);
     sim.set_traffic(traffic);
     return sim.run_throughput(rate, opts.warmup, opts.measure);
   };

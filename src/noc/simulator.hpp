@@ -73,14 +73,6 @@ struct SaturationSearchOptions {
   int iterations = 6;
   Cycle warmup = 4000;
   Cycle measure = 4000;
-  /// When true, each probe seeds its fresh simulator with
-  /// derive_seed(cfg.seed, bits(offered rate)) instead of cfg.seed, so
-  /// probes at different rates draw decorrelated traffic streams. Either
-  /// way a probe's outcome depends only on the offered rate — never on the
-  /// order probes run in — which is what keeps speculative parallel
-  /// searches bit-identical to sequential ones. Off by default to preserve
-  /// the historical single-seed numbers.
-  bool per_probe_seeds = false;
   /// Analytic saturation estimate in [0, 1] (e.g. from evaluate_analytic's
   /// bisection/channel-load bounds). When set, the search gallops outward
   /// from the estimate on the same dyadic probe grid the plain bisection
@@ -105,9 +97,9 @@ struct SaturationResult {
 
 /// Canonical bit pattern of an offered-rate memo key: collapses -0.0 onto
 /// +0.0 and every NaN onto one canonical quiet NaN, so the bit-pattern
-/// hashing in find_saturation's probe memo (and the per-probe seed
-/// derivation) can neither split a rate that compares equal nor alias
-/// distinct NaN payloads. Exposed for the regression tests in test_arena.
+/// hashing in find_saturation's probe memo can neither split a rate that
+/// compares equal nor alias distinct NaN payloads. Exposed for the
+/// regression tests in test_arena.
 [[nodiscard]] std::uint64_t saturation_rate_key(double rate) noexcept;
 
 /// Finds the saturation throughput the way BookSim-based studies do

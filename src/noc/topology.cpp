@@ -16,7 +16,6 @@ namespace hm::noc {
 namespace {
 
 std::atomic<std::uint64_t> g_context_builds{0};
-std::atomic<std::uint64_t> g_cache_hits{0};
 
 /// Index of `u` within the sorted neighbour list of `v` (v's port toward u).
 std::uint8_t port_of(const graph::Graph& g, graph::NodeId v, graph::NodeId u) {
@@ -79,10 +78,6 @@ std::uint64_t graph_digest(const graph::Graph& g) {
 
 std::uint64_t TopologyContext::lifetime_builds() noexcept {
   return g_context_builds.load(std::memory_order_relaxed);
-}
-
-std::uint64_t TopologyContext::cache_hits() noexcept {
-  return g_cache_hits.load(std::memory_order_relaxed);
 }
 
 TopologyContext::TopologyContext(const graph::Graph& g)
@@ -158,7 +153,6 @@ std::shared_ptr<const TopologyContext> intern_or_build(const graph::Graph& g,
     const std::lock_guard<std::mutex> lock(c.mu);
     maybe_prune(c);
     if (auto ctx = lookup()) {
-      g_cache_hits.fetch_add(1, std::memory_order_relaxed);
       intern_hits.add();
       return ctx;
     }
@@ -167,7 +161,6 @@ std::shared_ptr<const TopologyContext> intern_or_build(const graph::Graph& g,
   std::shared_ptr<const TopologyContext> built(build());
   const std::lock_guard<std::mutex> lock(c.mu);
   if (auto ctx = lookup()) {
-    g_cache_hits.fetch_add(1, std::memory_order_relaxed);
     intern_hits.add();
     return ctx;  // a racer registered first; adopt the shared instance
   }

@@ -92,13 +92,11 @@ class TopologyContext {
     return links_;
   }
 
-  /// Process-lifetime count of contexts constructed / acquire() calls
-  /// served from the cache. Used by tests and the perf bench to verify the
-  /// build-once contract. Deprecated for observability use: the same
-  /// events are published as the `topo.*` counters in
+  /// Process-lifetime count of contexts constructed. Used by tests to
+  /// verify the build-once contract; acquire() calls served from the cache
+  /// are published as the `topo.intern_hits` counter in
   /// telemetry::snapshot() (telemetry/telemetry.hpp).
   [[nodiscard]] static std::uint64_t lifetime_builds() noexcept;
-  [[nodiscard]] static std::uint64_t cache_hits() noexcept;
 
  private:
   /// Incremental build for rebuild_from: `g` is prev's graph with `edit`

@@ -26,8 +26,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kSegmentMagic[4] = {'H', 'M', 'S', 'T'};
-constexpr char kIndexMagic[4] = {'H', 'M', 'I', 'X'};
-constexpr const char* kIndexName = "index.hmi";
 /// Records larger than this are structurally impossible (the result codec
 /// is fixed-size); treat bigger lengths as corruption, not allocations.
 constexpr std::uint32_t kMaxPayloadLen = 1 << 20;
@@ -106,19 +104,17 @@ void write_file_atomic(const std::string& dir, const std::string& name,
 
 struct ParsedRecord {
   std::uint64_t key = 0;
-  std::uint64_t offset = 0;  ///< of the record header within the segment
-  std::uint32_t len = 0;
-  std::uint64_t checksum = 0;
   core::EvaluationResult result;
 };
 
-/// Walks one segment buffer. Returns false when the header is foreign (bad
-/// magic or format version). Structural damage (truncated tail, absurd
-/// length) stops the walk; a record whose payload fails its checksum or
-/// decode is skipped and counted, later records still load (record framing
-/// stays intact when only payload bytes flipped).
+/// Walks one segment buffer, appending its well-formed records to `out`.
+/// Returns false when the header is foreign (bad magic or format version).
+/// Structural damage (truncated tail, absurd length) stops the walk; a
+/// record whose payload fails its checksum or decode is skipped and counted,
+/// later records still load (record framing stays intact when only payload
+/// bytes flipped).
 bool walk_segment(const std::vector<std::uint8_t>& data,
-                  std::vector<ParsedRecord>* out,
+                  std::vector<ParsedRecord>& out,
                   std::size_t* corrupt_records,
                   std::vector<std::string>* issues,
                   const std::string& name) {
@@ -142,94 +138,28 @@ bool walk_segment(const std::vector<std::uint8_t>& data,
       break;
     }
     util::ByteReader rh(data.data() + off, kRecordHeader);
-    ParsedRecord rec;
-    rec.key = rh.u64();
-    rec.len = rh.u32();
-    rec.checksum = rh.u64();
-    rec.offset = off;
-    if (rec.len > kMaxPayloadLen || data.size() - off - kRecordHeader <
-                                        rec.len) {
+    const std::uint64_t key = rh.u64();
+    const std::uint32_t len = rh.u32();
+    const std::uint64_t checksum = rh.u64();
+    if (len > kMaxPayloadLen || data.size() - off - kRecordHeader < len) {
       if (corrupt_records) ++*corrupt_records;
       if (issues) issues->push_back(name + ": truncated/oversized payload");
       break;
     }
     const std::uint8_t* payload = data.data() + off + kRecordHeader;
-    off += kRecordHeader + rec.len;
-    if (util::fnv1a_bytes(payload, rec.len) != rec.checksum) {
+    off += kRecordHeader + len;
+    if (util::fnv1a_bytes(payload, len) != checksum) {
       if (corrupt_records) ++*corrupt_records;
       if (issues) issues->push_back(name + ": record checksum mismatch");
       continue;
     }
-    const auto decoded = decode_result(payload, rec.len);
+    const auto decoded = decode_result(payload, len);
     if (!decoded) {
       if (corrupt_records) ++*corrupt_records;
       if (issues) issues->push_back(name + ": undecodable record payload");
       continue;
     }
-    rec.result = *decoded;
-    if (out) out->push_back(std::move(rec));
-  }
-  return true;
-}
-
-struct IndexEntry {
-  std::uint64_t key = 0;
-  std::uint32_t segment = 0;
-  std::uint64_t offset = 0;
-  std::uint32_t len = 0;
-  std::uint64_t checksum = 0;
-};
-
-struct IndexFile {
-  std::vector<std::pair<std::string, std::uint64_t>> segments;  ///< name,size
-  std::vector<IndexEntry> entries;
-  std::uint64_t superseded = 0;
-};
-
-bool parse_index(const std::vector<std::uint8_t>& data, IndexFile* out) {
-  if (data.size() < 8 || std::memcmp(data.data(), kIndexMagic, 4) != 0) {
-    return false;
-  }
-  util::ByteReader rd(data.data() + 4, data.size() - 4);
-  if (rd.u32() != kStoreFormatVersion) return false;
-  const std::uint64_t nseg = rd.u64();
-  if (nseg > 1 << 20) return false;
-  for (std::uint64_t s = 0; s < nseg; ++s) {
-    const std::uint32_t name_len = rd.u32();
-    if (!rd.ok() || name_len > 4096) return false;
-    std::string name = rd.string_of(name_len);
-    const std::uint64_t size = rd.u64();
-    if (!rd.ok()) return false;
-    out->segments.emplace_back(std::move(name), size);
-  }
-  out->superseded = rd.u64();
-  const std::uint64_t nent = rd.u64();
-  if (!rd.ok() || nent > (1ULL << 32)) return false;
-  out->entries.reserve(static_cast<std::size_t>(nent));
-  for (std::uint64_t i = 0; i < nent; ++i) {
-    IndexEntry e;
-    e.key = rd.u64();
-    e.segment = rd.u32();
-    e.offset = rd.u64();
-    e.len = rd.u32();
-    e.checksum = rd.u64();
-    if (!rd.ok() || e.segment >= out->segments.size()) return false;
-    out->entries.push_back(e);
-  }
-  return rd.exhausted();
-}
-
-/// True when the index's segment list matches the directory exactly
-/// (same names, same sizes) — the staleness test for index-accelerated
-/// open.
-bool index_matches_dir(const IndexFile& idx, const std::string& dir,
-                       const std::vector<std::string>& dir_segments) {
-  if (idx.segments.size() != dir_segments.size()) return false;
-  for (std::size_t i = 0; i < dir_segments.size(); ++i) {
-    if (idx.segments[i].first != dir_segments[i]) return false;
-    std::error_code ec;
-    const auto size = fs::file_size(fs::path(dir) / dir_segments[i], ec);
-    if (ec || size != idx.segments[i].second) return false;
+    out.push_back({key, *decoded});
   }
   return true;
 }
@@ -282,73 +212,21 @@ ResultStore::~ResultStore() {
 }
 
 void ResultStore::load_locked() {
+  // Full scan of every segment in order; later records supersede earlier
+  // ones for the same key.
   segment_names_ = list_segments(dir_);
   for (const auto& name : segment_names_) {
     next_segment_id_ =
         std::max(next_segment_id_, parse_segment_id(name) + 1);
-  }
-
-  // Fast path: a fresh index file describes exactly the segments on disk,
-  // so only the live records get read and decoded.
-  IndexFile idx;
-  const auto index_data = read_file(fs::path(dir_) / kIndexName);
-  if (!index_data.empty() && parse_index(index_data, &idx) &&
-      index_matches_dir(idx, dir_, segment_names_)) {
-    bool consistent = true;
-    std::map<std::uint64_t, Entry> loaded;
-    std::vector<std::vector<std::uint8_t>> segment_data(
-        segment_names_.size());
-    for (const auto& e : idx.entries) {
-      auto& data = segment_data[e.segment];
-      if (data.empty()) {
-        data = read_file(fs::path(dir_) / segment_names_[e.segment]);
-      }
-      constexpr std::size_t kRecordHeader = 8 + 4 + 8;
-      if (e.offset + kRecordHeader + e.len > data.size()) {
-        consistent = false;
-        break;
-      }
-      util::ByteReader rh(data.data() + e.offset, kRecordHeader);
-      const std::uint64_t key = rh.u64();
-      const std::uint32_t len = rh.u32();
-      const std::uint64_t checksum = rh.u64();
-      const std::uint8_t* payload = data.data() + e.offset + kRecordHeader;
-      if (key != e.key || len != e.len || checksum != e.checksum ||
-          util::fnv1a_bytes(payload, len) != checksum) {
-        consistent = false;
-        break;
-      }
-      const auto decoded = decode_result(payload, len);
-      if (!decoded) {
-        consistent = false;
-        break;
-      }
-      Entry entry;
-      entry.result = *decoded;
-      entry.seq = next_seq_ + loaded.size();
-      loaded[e.key] = std::move(entry);
-    }
-    if (consistent) {
-      index_ = std::move(loaded);
-      next_seq_ += index_.size();
-      superseded_records_ = static_cast<std::size_t>(idx.superseded);
-      return;
-    }
-  }
-
-  // Slow path: full scan of every segment in order; later records
-  // supersede earlier ones for the same key.
-  index_.clear();
-  superseded_records_ = 0;
-  for (const auto& name : segment_names_) {
     const auto data = read_file(fs::path(dir_) / name);
     std::vector<ParsedRecord> records;
-    if (!walk_segment(data, &records, nullptr, nullptr, name)) continue;
+    if (!walk_segment(data, records, nullptr, nullptr, name)) continue;
     for (auto& rec : records) {
       auto [it, inserted] = index_.try_emplace(rec.key);
       if (!inserted) ++superseded_records_;
       it->second.result = std::move(rec.result);
       it->second.seq = next_seq_++;
+      it->second.on_disk = true;
     }
   }
 }
@@ -371,10 +249,11 @@ std::optional<core::EvaluationResult> ResultStore::lookup(
 void ResultStore::put(std::uint64_t key,
                       const core::EvaluationResult& result) {
   const std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [it, inserted] = index_.try_emplace(key);
-  it->second.result = result;
-  it->second.seq = next_seq_++;
-  if (inserted || pending_.empty() || pending_.back() != key) {
+  Entry& entry = index_[key];
+  entry.result = result;
+  entry.seq = next_seq_++;
+  if (!entry.pending) {
+    entry.pending = true;
     pending_.push_back(key);
   }
 }
@@ -384,31 +263,14 @@ std::size_t ResultStore::flush() {
   const std::unique_lock<std::shared_mutex> lock(mu_);
   if (pending_.empty()) return 0;
 
-  // A key staged repeatedly only needs one record of its current value.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(pending_.size());
-  for (const std::uint64_t key : pending_) {
-    if (index_.count(key) == 0) continue;  // clear()ed away before flush
-    bool seen = false;
-    for (const std::uint64_t k : keys) {
-      if (k == key) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) keys.push_back(key);
-  }
-  std::size_t written = 0;
-  if (!keys.empty()) {
-    written = write_segment_locked(keys);
-    write_index_locked();
-  }
+  const std::size_t written = pending_.size();
+  write_segment_locked(pending_);
   pending_.clear();
   flushes.add();
   return written;
 }
 
-std::size_t ResultStore::write_segment_locked(
+void ResultStore::write_segment_locked(
     const std::vector<std::uint64_t>& keys) {
   std::vector<std::uint8_t> data;
   util::ByteWriter w(data);
@@ -429,47 +291,15 @@ std::size_t ResultStore::write_segment_locked(
   write_file_atomic(dir_, name, data);
   segment_names_.push_back(name);
   std::sort(segment_names_.begin(), segment_names_.end());
-  return keys.size();
-}
-
-void ResultStore::write_index_locked() {
-  // Rebuild the dedup index from the segments on disk (cheap: headers are
-  // re-walked structurally, payloads are not decoded) so the entry
-  // locations are exact even for keys written by earlier processes.
-  std::vector<std::uint8_t> out;
-  util::ByteWriter w(out);
-  w.bytes(kIndexMagic, 4).u32(kStoreFormatVersion);
-  w.u64(segment_names_.size());
-  for (const auto& name : segment_names_) {
-    std::error_code ec;
-    const auto size = fs::file_size(fs::path(dir_) / name, ec);
-    w.u32(static_cast<std::uint32_t>(name.size()));
-    w.bytes(name.data(), name.size());
-    w.u64(ec ? 0 : static_cast<std::uint64_t>(size));
+  // Flags change only once the segment is in place, so a failed write
+  // leaves the store as it was. Rewriting a key an older segment holds
+  // supersedes that older record.
+  for (const std::uint64_t key : keys) {
+    Entry& entry = index_.at(key);
+    if (entry.on_disk) ++superseded_records_;
+    entry.on_disk = true;
+    entry.pending = false;
   }
-
-  std::map<std::uint64_t, IndexEntry> live;
-  std::size_t superseded = 0;
-  for (std::size_t s = 0; s < segment_names_.size(); ++s) {
-    const auto data = read_file(fs::path(dir_) / segment_names_[s]);
-    std::vector<ParsedRecord> records;
-    if (!walk_segment(data, &records, nullptr, nullptr, segment_names_[s])) {
-      continue;
-    }
-    for (const auto& rec : records) {
-      auto [it, inserted] = live.try_emplace(rec.key);
-      if (!inserted) ++superseded;
-      it->second = {rec.key, static_cast<std::uint32_t>(s), rec.offset,
-                    rec.len, rec.checksum};
-    }
-  }
-  superseded_records_ = superseded;
-  w.u64(superseded);
-  w.u64(live.size());
-  for (const auto& [key, e] : live) {
-    w.u64(e.key).u32(e.segment).u64(e.offset).u32(e.len).u64(e.checksum);
-  }
-  write_file_atomic(dir_, kIndexName, out);
 }
 
 std::uint64_t ResultStore::next_sequence() const {
@@ -496,6 +326,7 @@ std::size_t ResultStore::merge_from(const ResultStore& other) {
     if (!inserted) continue;  // deterministic keys: local value is the value
     it->second.result = std::move(result);
     it->second.seq = next_seq_++;
+    it->second.pending = true;
     pending_.push_back(key);
     ++imported;
   }
@@ -508,32 +339,22 @@ void ResultStore::compact() {
   keys.reserve(index_.size());
   for (const auto& [key, entry] : index_) keys.push_back(key);
 
-  const std::vector<std::string> old_segments = segment_names_;
+  const std::vector<std::string> old_segments = segment_names_;  // sorted
   if (!keys.empty()) {
     write_segment_locked(keys);  // appends the fresh segment name
   }
   // The fresh segment holds every live record, so the old files are dead
   // weight now; removal failures only leave harmless duplicates behind.
-  std::vector<std::string> kept;
-  for (const auto& name : segment_names_) {
-    bool is_old = false;
-    for (const auto& old : old_segments) {
-      if (name == old) {
-        is_old = true;
-        break;
-      }
+  std::erase_if(segment_names_, [&](const std::string& name) {
+    if (!std::binary_search(old_segments.begin(), old_segments.end(), name)) {
+      return false;  // the fresh segment
     }
-    if (is_old) {
-      std::error_code ec;
-      fs::remove(fs::path(dir_) / name, ec);
-      if (ec) kept.push_back(name);
-    } else {
-      kept.push_back(name);
-    }
-  }
-  segment_names_ = std::move(kept);
+    std::error_code ec;
+    fs::remove(fs::path(dir_) / name, ec);
+    return !ec;
+  });
   pending_.clear();
-  write_index_locked();
+  superseded_records_ = 0;
 }
 
 StoreStats ResultStore::stats() const {
@@ -548,9 +369,6 @@ StoreStats ResultStore::stats() const {
     const auto size = fs::file_size(fs::path(dir_) / name, ec);
     if (!ec) s.disk_bytes += size;
   }
-  std::error_code ec;
-  const auto idx_size = fs::file_size(fs::path(dir_) / kIndexName, ec);
-  if (!ec) s.disk_bytes += idx_size;
   return s;
 }
 
@@ -569,46 +387,15 @@ ResultStore::VerifyReport ResultStore::verify(const std::string& dir) {
   }
   const auto segments = list_segments(dir);
   report.segments = segments.size();
-  std::map<std::uint64_t, IndexEntry> live;
-  for (std::size_t s = 0; s < segments.size(); ++s) {
-    const auto data = read_file(fs::path(dir) / segments[s]);
+  for (const auto& name : segments) {
+    const auto data = read_file(fs::path(dir) / name);
     std::vector<ParsedRecord> records;
-    if (!walk_segment(data, &records, &report.corrupt_records,
-                      &report.issues, segments[s])) {
+    if (!walk_segment(data, records, &report.corrupt_records,
+                      &report.issues, name)) {
       ++report.foreign_segments;
       continue;
     }
-    for (const auto& rec : records) {
-      ++report.records;
-      live[rec.key] = {rec.key, static_cast<std::uint32_t>(s), rec.offset,
-                       rec.len, rec.checksum};
-    }
-  }
-
-  const auto index_data = read_file(fs::path(dir) / kIndexName);
-  if (!index_data.empty()) {
-    report.index_present = true;
-    IndexFile idx;
-    if (!parse_index(index_data, &idx)) {
-      report.issues.push_back("index.hmi: unparseable");
-    } else if (!index_matches_dir(idx, dir, segments)) {
-      report.issues.push_back("index.hmi: stale (segment set mismatch)");
-    } else if (idx.entries.size() != live.size()) {
-      report.issues.push_back("index.hmi: entry count mismatch");
-    } else {
-      bool entries_ok = true;
-      for (const auto& e : idx.entries) {
-        const auto it = live.find(e.key);
-        if (it == live.end() || it->second.segment != e.segment ||
-            it->second.offset != e.offset || it->second.len != e.len ||
-            it->second.checksum != e.checksum) {
-          entries_ok = false;
-          report.issues.push_back("index.hmi: entry mismatch for key");
-          break;
-        }
-      }
-      report.index_ok = entries_ok;
-    }
+    report.records += records.size();
   }
   return report;
 }

@@ -4,9 +4,9 @@
 // every CI run and every user re-pays the whole sweep even though the
 // stable 64-bit content hashes of (arrangement, params, traffic) already
 // make result keys portable across processes. ResultStore is the on-disk
-// tier under that cache: a directory of append-only segment files plus an
-// index, holding versioned, endianness-stable binary records of
-// core::EvaluationResult keyed by those hashes (store/record.hpp).
+// tier under that cache: a directory of append-only segment files holding
+// versioned, endianness-stable binary records of core::EvaluationResult
+// keyed by those hashes (store/record.hpp).
 //
 // On-disk layout (`dir/`):
 //   seg-<id>-<pid>.hms   append-only segments, written once, never edited:
@@ -15,20 +15,18 @@
 //                        checksum, payload}. Lexicographic segment order is
 //                        the total order; a later record for the same key
 //                        supersedes earlier ones.
-//   index.hmi            dedup index rewritten on every flush/compact:
-//                        the segment set (names + sizes) and, per live key,
-//                        the (segment, offset, len, checksum) of its latest
-//                        record. open() uses it to read exactly the live
-//                        records; when it is missing or stale (segment set
-//                        mismatch) open falls back to a full segment scan
-//                        and rebuilds it on the next flush.
 //
-// Crash safety: segments and the index are written to a tmp- file and
-// renamed into place, so a crash mid-flush leaves at worst an ignored tmp-
-// file, never a half-valid segment. Corrupt or truncated records (bad
-// magic, checksum mismatch, undecodable payload, foreign format version)
-// are skipped on load and reported by verify() — a damaged store degrades
-// to misses, it never serves a misread result.
+// The segments are the whole store: open() scans every one of them in that
+// order, and a flush appends one new segment holding only the staged
+// entries, touching no other file. Any other file in the directory (tmp-
+// files, the dedup index older builds wrote) is ignored and left in place.
+//
+// Crash safety: segments are written to a tmp- file and renamed into
+// place, so a crash mid-flush leaves at worst an ignored tmp- file, never
+// a half-valid segment. Corrupt or truncated records (bad magic, checksum
+// mismatch, undecodable payload, foreign format version) are skipped on
+// load and reported by verify() — a damaged store degrades to misses, it
+// never serves a misread result.
 //
 // Concurrency: one ResultStore instance per directory per process
 // (open() interns by canonical path, the same idiom as the
@@ -62,9 +60,9 @@ inline constexpr std::uint32_t kStoreFormatVersion = 1;
 struct StoreStats {
   std::size_t entries = 0;          ///< live keys in the index
   std::size_t segments = 0;         ///< segment files on disk
-  std::uint64_t disk_bytes = 0;     ///< total size of segments + index
+  std::uint64_t disk_bytes = 0;     ///< total size of the segments
   std::size_t superseded_records = 0;  ///< duplicate records compaction drops
-  std::size_t pending = 0;          ///< puts not yet flushed to a segment
+  std::size_t pending = 0;          ///< staged keys not yet in a segment
 };
 
 class ResultStore {
@@ -93,10 +91,10 @@ class ResultStore {
   /// evaluation, racing writers stage identical values.
   void put(std::uint64_t key, const core::EvaluationResult& result);
 
-  /// Writes every staged put into one new segment (write-temp-then-rename)
-  /// and rewrites the index. Returns the number of records written (0 when
+  /// Writes every staged put into one new segment (write-temp-then-rename),
+  /// in first-put order. Returns the number of records written (0 when
   /// nothing was pending — no empty segments). Throws std::runtime_error
-  /// on I/O failure; the staged entries stay pending in that case.
+  /// on I/O failure; the store is left unchanged in that case.
   std::size_t flush();
 
   /// The sequence number the next loaded/staged entry would get. Entries
@@ -120,20 +118,16 @@ class ResultStore {
   [[nodiscard]] std::size_t entry_count() const;
 
   /// Offline integrity check of a store directory: walks every segment
-  /// record by record (magic, version, bounds, checksum, payload decode)
-  /// and validates the index against the segment set. Does not require —
-  /// and does not create — an open store.
+  /// record by record (magic, version, bounds, checksum, payload decode).
+  /// Does not require — and does not create — an open store.
   struct VerifyReport {
     std::size_t segments = 0;
     std::size_t records = 0;           ///< well-formed records
     std::size_t corrupt_records = 0;   ///< checksum/decode/bounds failures
     std::size_t foreign_segments = 0;  ///< bad magic or format version
-    bool index_present = false;
-    bool index_ok = false;  ///< parses and matches the segment set
     std::vector<std::string> issues;  ///< human-readable findings
     [[nodiscard]] bool clean() const noexcept {
-      return corrupt_records == 0 && foreign_segments == 0 &&
-             (!index_present || index_ok);
+      return corrupt_records == 0 && foreign_segments == 0;
     }
   };
   [[nodiscard]] static VerifyReport verify(const std::string& dir);
@@ -148,18 +142,19 @@ class ResultStore {
   struct Entry {
     core::EvaluationResult result;
     std::uint64_t seq = 0;
+    bool pending = false;  ///< key is in pending_
+    bool on_disk = false;  ///< a segment already holds a record for key
   };
 
   void load_locked();
-  std::size_t write_segment_locked(const std::vector<std::uint64_t>& keys);
-  void write_index_locked();
+  void write_segment_locked(const std::vector<std::uint64_t>& keys);
 
   const std::string dir_;
   mutable std::shared_mutex mu_;
   std::map<std::uint64_t, Entry> index_;       ///< key -> latest value
-  std::vector<std::uint64_t> pending_;         ///< keys staged since flush
+  std::vector<std::uint64_t> pending_;         ///< unique, first-put order
   std::vector<std::string> segment_names_;     ///< sorted, loaded set
-  std::size_t superseded_records_ = 0;         ///< duplicates seen on load
+  std::size_t superseded_records_ = 0;         ///< records a later one beats
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_segment_id_ = 0;
 };

@@ -4,15 +4,12 @@
 // find_saturation's bit-pattern rate memo must normalize -0.0/NaN keys.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "core/arrangement.hpp"
-#include "explore/export.hpp"
-#include "explore/sweep.hpp"
 #include "explore/thread_pool.hpp"
 #include "faults/fault_plan.hpp"
 #include "noc/arena.hpp"
@@ -217,59 +214,12 @@ TEST(SimulationArena, FindSaturationIsStableAcrossRepeatsAndExecutors) {
   EXPECT_EQ(sequential.saturation_flit_rate, repeated.saturation_flit_rate);
   EXPECT_EQ(sequential.accepted_flit_rate, repeated.accepted_flit_rate);
 
-  // Speculative parallel search through a bounded executor: identical rates
-  // (the executor only changes scheduling, never results).
+  // Speculative parallel search through the pool: identical rates (the
+  // executor only changes scheduling, never results).
   hm::explore::ThreadPool pool(4);
-  hm::explore::BoundedProbeExecutor bounded(&pool, 2);
-  const auto parallel = find_saturation(topo, cfg, opts, TrafficSpec{},
-                                        &bounded);
+  const auto parallel = find_saturation(topo, cfg, opts, TrafficSpec{}, &pool);
   EXPECT_EQ(sequential.saturation_flit_rate, parallel.saturation_flit_rate);
   EXPECT_EQ(sequential.accepted_flit_rate, parallel.accepted_flit_rate);
-}
-
-// --- Bounded executor --------------------------------------------------------
-
-TEST(BoundedProbeExecutor, RunsEveryJobExactlyOnce) {
-  hm::explore::ThreadPool pool(4);
-  hm::explore::BoundedProbeExecutor bounded(&pool, 2);
-  std::atomic<int> runs{0};
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 7; ++i) jobs.push_back([&runs] { ++runs; });
-  bounded.run_batch(jobs);
-  EXPECT_EQ(runs.load(), 7);
-
-  // Degenerate cap: inline execution.
-  hm::explore::BoundedProbeExecutor inline_exec(&pool, 1);
-  runs = 0;
-  bounded.run_batch(jobs);  // jobs are reusable (borrowed, not consumed)
-  inline_exec.run_batch(jobs);
-  EXPECT_EQ(runs.load(), 14);
-}
-
-TEST(BoundedProbeExecutor, IntraDesignSweepMatchesPlainSweep) {
-  // End to end through the engine: capped intra-design parallelism must
-  // produce byte-identical exports to the plain per-job evaluation.
-  hm::core::EvaluationParams params;
-  params.latency_warmup = 200;
-  params.latency_measure = 400;
-  params.latency_drain_limit = 60000;
-  params.throughput_warmup = 300;
-  params.throughput_measure = 300;
-  hm::explore::SweepSpec spec;
-  spec.chiplet_counts = {4, 7};
-  spec.param_grid = {params};
-
-  hm::explore::SweepEngine::Options plain;
-  plain.threads = 2;
-  const auto baseline = hm::explore::SweepEngine(plain).run(spec);
-
-  hm::explore::SweepEngine::Options intra;
-  intra.threads = 4;
-  intra.intra_design_parallelism = true;
-  intra.max_intra_probes = 2;
-  const auto capped = hm::explore::SweepEngine(intra).run(spec);
-
-  EXPECT_EQ(hm::explore::to_csv(baseline), hm::explore::to_csv(capped));
 }
 
 // --- Saturation memo rate-key normalization (regression) ---------------------

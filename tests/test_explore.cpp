@@ -320,20 +320,6 @@ TEST(ParallelEvaluate, ExecutorMatchesSequentialBitForBit) {
   EXPECT_EQ(par.latency_run_drained, seq.latency_run_drained);
 }
 
-TEST(ParallelEvaluate, PerProbeSeedsStayOrderIndependent) {
-  const auto arr = core::make_arrangement(core::ArrangementType::kGrid, 9);
-  noc::SaturationSearchOptions opts;
-  opts.warmup = 300;
-  opts.measure = 300;
-  opts.per_probe_seeds = true;
-  noc::SimConfig cfg;
-  const auto seq = noc::find_saturation(arr.graph(), cfg, opts);
-  ThreadPool pool(4);
-  const auto par = noc::find_saturation(arr.graph(), cfg, opts, {}, &pool);
-  EXPECT_EQ(par.saturation_flit_rate, seq.saturation_flit_rate);
-  EXPECT_EQ(par.accepted_flit_rate, seq.accepted_flit_rate);
-}
-
 TEST(ParallelEvaluate, MeasurementSelectionFlags) {
   const auto arr = core::make_arrangement(core::ArrangementType::kGrid, 4);
   auto params = tiny_sim_params();

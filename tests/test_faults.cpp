@@ -438,8 +438,7 @@ TEST(FaultsEvaluator, PopulatesFaultFieldsDeterministically) {
   // probes; the result must stay bit-identical (fixed plan order, fresh
   // deterministically seeded simulator per plan).
   hm::explore::ThreadPool pool(4);
-  hm::explore::BoundedProbeExecutor bounded(&pool, 3);
-  const auto parallel = hm::core::evaluate(arr, params, {}, &bounded);
+  const auto parallel = hm::core::evaluate(arr, params, {}, &pool);
   EXPECT_EQ(sequential.fault_plans_run, parallel.fault_plans_run);
   EXPECT_EQ(sequential.fault_degraded_throughput,
             parallel.fault_degraded_throughput);

@@ -1,14 +1,17 @@
 // Persistent result store (src/store/): codec bit-exactness, crash/corruption
-// resilience, index-accelerated open, merge/compact, concurrency, and the
-// ResultCache read-through/flush/clear integration.
+// resilience, segment-scan open, append-only flushes, merge/compact,
+// concurrency, and the ResultCache read-through/flush/clear integration.
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,6 +128,25 @@ void spit(const fs::path& p, const std::vector<std::uint8_t>& data) {
   std::ofstream os(p, std::ios::binary | std::ios::trunc);
   os.write(reinterpret_cast<const char*>(data.data()),
            static_cast<std::streamsize>(data.size()));
+}
+
+/// Every file in `dir`, by name, with its bytes.
+std::map<std::string, std::vector<std::uint8_t>> dir_contents(
+    const fs::path& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> out;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    out[e.path().filename().string()] = slurp(e.path());
+  }
+  return out;
+}
+
+/// Key of the record at `index` in a segment of fixed-size result records.
+std::uint64_t record_key(const std::vector<std::uint8_t>& segment,
+                         std::size_t index) {
+  const std::size_t off =
+      8 + index * (20 + hm::store::kEncodedResultSize);  // header, records
+  hm::util::ByteReader rd(segment.data() + off, 8);
+  return rd.u64();
 }
 
 }  // namespace
@@ -264,7 +286,6 @@ TEST(ResultStoreTest, ChecksumMismatchSkipsOnlyThatRecord) {
   // record header 20): framing stays intact, record 2 must still load.
   data[8 + 20 + 5] ^= 0xff;
   spit(seg, data);
-  fs::remove(dir / "index.hmi");  // force the scan path
 
   const auto store = ResultStore::open(dir.string());
   EXPECT_EQ(store->entry_count(), 1u);
@@ -286,7 +307,6 @@ TEST(ResultStoreTest, ForeignFormatVersionRejectsSegmentWholesale) {
   auto data = slurp(seg);
   data[4] = static_cast<std::uint8_t>(hm::store::kStoreFormatVersion + 1);
   spit(seg, data);
-  fs::remove(dir / "index.hmi");
 
   const auto store = ResultStore::open(dir.string());
   EXPECT_EQ(store->entry_count(), 0u);
@@ -295,47 +315,35 @@ TEST(ResultStoreTest, ForeignFormatVersionRejectsSegmentWholesale) {
   EXPECT_EQ(report.foreign_segments, 1u);
 }
 
-TEST(ResultStoreTest, IndexAcceleratedOpenMatchesFullScan) {
-  const auto dir = fresh_dir("indexed");
+TEST(ResultStoreTest, ReopenAfterSupersedeServesLatestValue) {
+  const auto dir = fresh_dir("supersede");
   {
     const auto store = ResultStore::open(dir.string());
     for (std::uint64_t k = 0; k < 10; ++k) store->put(k, make_result(k));
     store->flush();
     store->put(3, make_result(99));  // supersede key 3 in a second segment
     store->flush();
+    EXPECT_EQ(store->stats().superseded_records, 1u);
   }
-  ASSERT_TRUE(fs::exists(dir / "index.hmi"));
-  const auto via_index = ResultStore::open(dir.string());
-  const auto indexed_count = via_index->entry_count();
-  const auto superseded = via_index->lookup(3);
-  ASSERT_TRUE(superseded.has_value());
-
-  // via_index is still alive (the intern map would return the same
-  // instance), so exercise the scan path on a copy with the index deleted.
-  const auto dir2 = fresh_dir("indexed_copy");
-  fs::remove_all(dir2);
-  fs::copy(dir, dir2);
-  fs::remove(dir2 / "index.hmi");
-  const auto via_scan = ResultStore::open(dir2.string());
-  EXPECT_EQ(via_scan->entry_count(), indexed_count);
-  const auto scanned = via_scan->lookup(3);
-  ASSERT_TRUE(scanned.has_value());
-  expect_results_bit_equal(*superseded, *scanned);
-  EXPECT_EQ(via_scan->stats().superseded_records, 1u);
+  const auto reopened = ResultStore::open(dir.string());
+  EXPECT_EQ(reopened->entry_count(), 10u);
+  const auto latest = reopened->lookup(3);
+  ASSERT_TRUE(latest.has_value());
+  expect_results_bit_equal(make_result(99), *latest);
+  EXPECT_EQ(reopened->stats().superseded_records, 1u);
 }
 
-TEST(ResultStoreTest, StaleIndexFallsBackToScan) {
-  const auto dir = fresh_dir("stale");
+TEST(ResultStoreTest, SegmentFromAnotherStoreLoadsOnOpen) {
+  const auto dir = fresh_dir("foreign_writer");
   {
     const auto store = ResultStore::open(dir.string());
     store->put(1, make_result(1));
     store->flush();
   }
-  // Make the index stale: add a segment behind the index's back by
-  // writing through a second directory and copying the segment over
-  // (under a fresh id+pid name so it sorts after the existing segment —
-  // both fresh stores start their segment ids at zero).
-  const auto dir2 = fresh_dir("stale_src");
+  // Add a segment written through a second directory, copied in under a
+  // fresh id+pid name so it sorts after the existing segment (both fresh
+  // stores start their segment ids at zero).
+  const auto dir2 = fresh_dir("foreign_writer_src");
   {
     const auto other = ResultStore::open(dir2.string());
     other->put(2, make_result(2));
@@ -345,7 +353,86 @@ TEST(ResultStoreTest, StaleIndexFallsBackToScan) {
                 dir / "seg-00000000000000ff-deadbeef.hms");
 
   const auto store = ResultStore::open(dir.string());
-  EXPECT_EQ(store->entry_count(), 2u);  // stale index ignored, full scan
+  EXPECT_EQ(store->entry_count(), 2u);
+  EXPECT_TRUE(ResultStore::verify(dir.string()).clean());
+}
+
+// Older builds kept a dedup index file beside the segments. A store that
+// still has one (here: garbage bytes) opens from its segments alone,
+// verifies clean, and flushes without touching the file.
+TEST(ResultStoreTest, IgnoresLegacyIndexFile) {
+  const auto dir = fresh_dir("legacy_index");
+  {
+    const auto store = ResultStore::open(dir.string());
+    for (std::uint64_t k = 0; k < 4; ++k) store->put(k, make_result(k));
+    store->flush();
+  }
+  spit(dir / "index.hmi", {'H', 'M', 'I', 'X', 0xde, 0xad, 0xbe, 0xef});
+
+  const auto store = ResultStore::open(dir.string());
+  EXPECT_EQ(store->entry_count(), 4u);
+  EXPECT_TRUE(ResultStore::verify(dir.string()).clean());
+
+  // A flush adds exactly one segment and leaves every other file as it was.
+  const auto before = dir_contents(dir);
+  store->put(2, make_result(22));
+  store->put(9, make_result(9));
+  EXPECT_EQ(store->flush(), 2u);
+  auto after = dir_contents(dir);
+  ASSERT_EQ(after.size(), before.size() + 1);
+  for (const auto& [name, bytes] : before) {
+    ASSERT_TRUE(after.count(name)) << name;
+    EXPECT_EQ(after[name], bytes) << name;
+  }
+  EXPECT_EQ(store->stats().superseded_records, 1u);  // key 2 written again
+}
+
+// put() stages a key once however often it is re-put: the flush writes one
+// record per key, holding the latest value, in first-put order.
+TEST(ResultStoreTest, RepeatedPutsFlushOneRecordInFirstPutOrder) {
+  const auto dir = fresh_dir("reput");
+  const auto store = ResultStore::open(dir.string());
+  store->put(5, make_result(1));
+  store->put(3, make_result(3));
+  store->put(5, make_result(55));
+  EXPECT_EQ(store->stats().pending, 2u);
+  EXPECT_EQ(store->flush(), 2u);
+  EXPECT_EQ(store->stats().superseded_records, 0u);
+
+  const auto segment = slurp(only_segment(dir));
+  ASSERT_EQ(segment.size(), 8 + 2 * (20 + hm::store::kEncodedResultSize));
+  EXPECT_EQ(record_key(segment, 0), 5u);
+  EXPECT_EQ(record_key(segment, 1), 3u);
+  const auto latest = store->lookup(5);
+  ASSERT_TRUE(latest.has_value());
+  expect_results_bit_equal(make_result(55), *latest);
+}
+
+// A flush that cannot write its segment changes nothing: the entries stay
+// pending and the superseded count stays put until a flush succeeds.
+TEST(ResultStoreTest, FailedFlushLeavesStoreUnchanged) {
+  const auto dir = fresh_dir("failedflush");
+  const auto store = ResultStore::open(dir.string());
+  store->put(1, make_result(1));
+  EXPECT_EQ(store->flush(), 1u);  // segment id 0
+  store->put(1, make_result(11));
+  store->put(2, make_result(2));
+
+  // A directory where the next segment's tmp- file must go fails the write.
+  char blocker[64];
+  std::snprintf(blocker, sizeof(blocker), "tmp-seg-%016x-%08x.hms", 1u,
+                static_cast<unsigned>(::getpid()));
+  fs::create_directory(dir / blocker);
+  EXPECT_THROW(store->flush(), std::runtime_error);
+  EXPECT_EQ(store->stats().pending, 2u);
+  EXPECT_EQ(store->stats().segments, 1u);
+  EXPECT_EQ(store->stats().superseded_records, 0u);
+
+  fs::remove(dir / blocker);
+  EXPECT_EQ(store->flush(), 2u);
+  EXPECT_EQ(store->stats().pending, 0u);
+  EXPECT_EQ(store->stats().segments, 2u);
+  EXPECT_EQ(store->stats().superseded_records, 1u);
 }
 
 TEST(ResultStoreTest, MergeImportsOnlyMissingKeys) {
