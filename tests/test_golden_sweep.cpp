@@ -8,6 +8,9 @@
 // The search and tempering traces are pinned the same way (GoldenTrace
 // below): five runs covering hill climbing, annealing (including the
 // min_temperature floor), and tempering with and without replica exchange.
+// GoldenRouter pins the saturated router itself at N=37: throughput runs
+// per family x routing mode x offered rate plus one fault storm, each
+// reduced to its rates and the network's deterministic hot-path counters.
 // Regenerating: when a PR deliberately changes simulation results (e.g. a
 // new RNG stream layout), run the suite once with HM_REGEN_GOLDEN=1 — the
 // t1 instantiation rewrites tests/golden/ from a 1-thread run and every
@@ -15,6 +18,7 @@
 // all thread counts before committing the new captures.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -24,6 +28,8 @@
 #include "core/evaluator.hpp"
 #include "explore/export.hpp"
 #include "explore/sweep.hpp"
+#include "faults/fault_plan.hpp"
+#include "noc/simulator.hpp"
 #include "search/search.hpp"
 #include "search/tempering.hpp"
 
@@ -223,5 +229,99 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, GoldenTrace,
                          [](const auto& info) {
                            return "t" + std::to_string(info.param);
                          });
+
+// --- Saturated router --------------------------------------------------------
+
+/// The Network's deterministic hot-path counters as `key=value` fields.
+/// The switch-allocation stall counters are left out on purpose: they
+/// count arbitration attempts, not simulated work.
+std::string hot_stat_fields(const hm::noc::Network& net) {
+  const hm::noc::Network::HotStats s = net.hot_stats();
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                " flits_routed=%llu va_stall_cycles=%llu heads_revoked=%llu"
+                " ring_hwm=%llu router_steps=%llu source_queue_hwm=%llu",
+                static_cast<unsigned long long>(s.routers.flits_routed),
+                static_cast<unsigned long long>(s.routers.va_stall_cycles),
+                static_cast<unsigned long long>(s.routers.heads_revoked),
+                static_cast<unsigned long long>(s.routers.ring_hwm),
+                static_cast<unsigned long long>(s.router_steps),
+                static_cast<unsigned long long>(s.source_queue_hwm));
+  return buf;
+}
+
+/// Every routing mode on every family at N=37, driven to saturation and
+/// below it, plus a three-kill storm on HexaMesh: one line per run.
+std::string router_golden_capture() {
+  using hm::noc::RoutingMode;
+  const std::pair<ArrangementType, const char*> families[] = {
+      {ArrangementType::kGrid, "grid"},
+      {ArrangementType::kBrickwall, "brickwall"},
+      {ArrangementType::kHexaMesh, "hexamesh"}};
+  const std::pair<RoutingMode, const char*> modes[] = {
+      {RoutingMode::kMinimalAdaptive, "minimal-adaptive"},
+      {RoutingMode::kDeterministicMinimal, "deterministic-minimal"},
+      {RoutingMode::kUpDownOnly, "updown-only"}};
+
+  std::string out;
+  char buf[256];
+  for (const auto& [type, family] : families) {
+    const auto g = make_arrangement(type, 37).graph();
+    for (const auto& [mode, mode_name] : modes) {
+      for (const double rate : {1.0, 0.3}) {
+        hm::noc::SimConfig cfg;
+        cfg.routing = mode;
+        hm::noc::Simulator sim(g, cfg);
+        const auto r = sim.run_throughput(rate, 500, 500);
+        std::snprintf(buf, sizeof buf,
+                      "%s-37 %s rate=%g accepted=%.17g generated=%.17g"
+                      " dropped=%llu",
+                      family, mode_name, rate, r.accepted_flit_rate,
+                      r.generated_flit_rate,
+                      static_cast<unsigned long long>(r.dropped_packets));
+        out += buf + hot_stat_fields(sim.network()) + "\n";
+      }
+    }
+  }
+
+  const auto g = make_arrangement(ArrangementType::kHexaMesh, 37).graph();
+  hm::faults::FaultScenarioSpec storm;
+  storm.storm_kills = 3;
+  storm.seed = 5;
+  storm.kill_at = 200;
+  storm.storm_spacing = 300;
+  const auto plans = storm.plans_for(g);
+  EXPECT_EQ(plans.size(), 1u);
+  hm::noc::Simulator sim(g, hm::noc::SimConfig{});
+  const auto s = sim.run_resilience(0.5, plans.back(), 500, 1500);
+  std::snprintf(
+      buf, sizeof buf,
+      "hexamesh-37 storm rate=0.5 links_killed=%llu flits_dropped=%llu"
+      " packets_lost=%llu packets_flushed=%llu packets_rerouted=%llu"
+      " pre_fault_rate=%.17g degraded_rate=%.17g ejected=%llu",
+      static_cast<unsigned long long>(s.links_killed),
+      static_cast<unsigned long long>(s.flits_dropped),
+      static_cast<unsigned long long>(s.packets_lost),
+      static_cast<unsigned long long>(s.packets_flushed),
+      static_cast<unsigned long long>(s.packets_rerouted), s.pre_fault_rate,
+      s.degraded_rate,
+      static_cast<unsigned long long>(sim.network().total_flits_ejected()));
+  out += buf + hot_stat_fields(sim.network()) + "\n";
+  std::string why;
+  EXPECT_TRUE(sim.network().invariants_ok(&why)) << why;
+  return out;
+}
+
+TEST(GoldenRouter, SaturatedN37MatchesCapture) {
+  const std::string path = std::string(HM_GOLDEN_DIR) + "/router_n37.txt";
+  const std::string actual = router_golden_capture();
+  if (std::getenv("HM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+    GTEST_SKIP() << "HM_REGEN_GOLDEN set: golden rewritten, not compared";
+  }
+  const std::string golden = read_file(path);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(actual, golden) << "router_n37.txt diverged from the golden";
+}
 
 }  // namespace
