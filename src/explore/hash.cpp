@@ -39,7 +39,9 @@ std::uint64_t hash_simulation_params(const core::EvaluationParams& params) {
       .mix_i(s.endpoints_per_chiplet)
       .mix_i(s.source_queue_capacity)
       .mix_i(s.escape_threshold)
-      .mix_i(s.sa_iterations)
+      // The retired SimConfig::sa_iterations field (default 2); mixing the
+      // literal keeps every existing store key valid.
+      .mix_i(2)
       .mix(static_cast<std::uint64_t>(s.routing))
       .mix(s.seed)
       .mix_f(params.zero_load_injection_rate)

@@ -43,11 +43,6 @@ struct SimConfig {
   /// requests the always-draining escape network) while preventing the
   /// escape tree root from becoming the bottleneck at saturation.
   int escape_threshold = 20;
-  /// Switch-allocation iterations per cycle (iSLIP-style). Each iteration
-  /// matches unmatched output ports to unmatched input ports; more
-  /// iterations raise crossbar matching quality, which matters most for the
-  /// high-radix (degree-6) brickwall/HexaMesh routers.
-  int sa_iterations = 2;
   RoutingMode routing = RoutingMode::kMinimalAdaptive;
   /// Active-set stepping: Network::step walks only routers/links/endpoints
   /// that can make progress this cycle instead of sweeping every component.
@@ -96,9 +91,6 @@ struct SimConfig {
     }
     if (escape_threshold < 0) {
       throw std::invalid_argument("SimConfig: escape_threshold must be >= 0");
-    }
-    if (sa_iterations < 1) {
-      throw std::invalid_argument("SimConfig: sa_iterations must be >= 1");
     }
   }
 };

@@ -49,6 +49,9 @@ Router::Router(std::uint32_t id, const SimConfig& cfg,
   sa_request_mask_.assign(n_ports_ * mask_words_, 0);
   sa_req_count_.assign(n_ports_, 0);
   occupied_.assign(mask_words_, 0);
+  needs_vc_.assign(mask_words_, 0);
+  non_idle_.assign(mask_words_, 0);
+  revocable_.assign(mask_words_, 0);
   free_adaptive_.assign(n_ports_, cfg_.vcs - 1);
   seed_rng(cfg_.seed);
 }
@@ -86,6 +89,9 @@ void Router::reset() {
   std::fill(sa_request_mask_.begin(), sa_request_mask_.end(), 0);
   std::fill(sa_req_count_.begin(), sa_req_count_.end(), 0);
   std::fill(occupied_.begin(), occupied_.end(), 0);
+  std::fill(needs_vc_.begin(), needs_vc_.end(), 0);
+  std::fill(non_idle_.begin(), non_idle_.end(), 0);
+  std::fill(revocable_.begin(), revocable_.end(), 0);
   std::fill(free_adaptive_.begin(), free_adaptive_.end(), cfg_.vcs - 1);
   now_ = 0;
   rng_ = Rng(rng_seed_);
@@ -119,7 +125,7 @@ void Router::receive_flit(std::size_t port, Flit f, Cycle now) {
          static_cast<std::size_t>(cfg_.buffer_depth));  // credits guarantee
   iv.buf.push_back(BufFlit{f, now + cfg_.router_latency});
   ++buffered_;
-  occupied_[static_cast<std::size_t>(idx) >> 6] |= 1ULL << (idx & 63);
+  set_bit(occupied_.data(), idx);
   if (iv.buf.size() > stats_.ring_hwm) stats_.ring_hwm = iv.buf.size();
 }
 
@@ -155,7 +161,9 @@ void Router::route_compute(InputVc& iv, int iv_flat) {
     iv.out_is_ejection = false;
     iv.blocked_cycles = 0;
     iv.state = VcState::kNeedsVc;
+    set_bit(needs_vc_.data(), iv_flat);
   }
+  set_bit(non_idle_.data(), iv_flat);
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
@@ -199,6 +207,8 @@ bool Router::try_allocate_vc(InputVc& iv, int iv_flat) {
           iv.escape = false;
           iv.flits_sent = 0;
           iv.state = VcState::kActive;
+          clear_bit(needs_vc_.data(), iv_flat);
+          set_bit(revocable_.data(), iv_flat);
           mark_request(static_cast<std::size_t>(port), iv_flat);
           return true;
         }
@@ -244,6 +254,8 @@ bool Router::try_allocate_vc(InputVc& iv, int iv_flat) {
         iv.next_phase = hop.next_phase;
         iv.flits_sent = 0;
         iv.state = VcState::kActive;
+        clear_bit(needs_vc_.data(), iv_flat);
+        set_bit(revocable_.data(), iv_flat);
         mark_request(hop.port, iv_flat);
         return true;
       }
@@ -255,52 +267,57 @@ bool Router::try_allocate_vc(InputVc& iv, int iv_flat) {
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
+template <typename Visit>
+bool Router::walk_from(const std::uint64_t* mask, int start,
+                       Visit&& visit) const {
+  const std::size_t sw = static_cast<std::size_t>(start) >> 6;
+  const std::uint64_t high = ~0ULL << (start & 63);
+  for (std::size_t step = 0; step <= mask_words_; ++step) {
+    std::size_t w = sw + step;
+    if (w >= mask_words_) w -= mask_words_;
+    std::uint64_t m = mask[w];
+    if (step == 0) {
+      m &= high;
+    } else if (step == mask_words_) {
+      m &= ~high;
+    }
+    while (m != 0) {
+      const int idx = static_cast<int>(w << 6) + std::countr_zero(m);
+      m &= m - 1;
+      if (visit(idx)) return true;
+    }
+  }
+  return false;
+}
+
+// HM_HOT: per-cycle simulation path — no allocation, no throw.
 void Router::step(Cycle now) {
   now_ = now;
   const int total_vcs = static_cast<int>(in_.size());
 
   // --- RC: classify fresh heads -------------------------------------------
-  // Ascending walk of the occupied VCs only — same visit order as a linear
-  // scan over every VC, since unoccupied VCs have no head to classify.
+  // Ascending walk of the occupied idle VCs: every other VC either has no
+  // head to classify or is already routing a packet.
   for (std::size_t w = 0; w < mask_words_; ++w) {
-    std::uint64_t m = occupied_[w];
+    std::uint64_t m = occupied_[w] & ~non_idle_[w];
     while (m != 0) {
       const int idx = static_cast<int>(w << 6) + std::countr_zero(m);
       m &= m - 1;
       InputVc& iv = in_[static_cast<std::size_t>(idx)];
-      if (iv.state == VcState::kIdle) {
-        assert(iv.buf.front().flit.head);
-        route_compute(iv, idx);
-      }
+      assert(iv.buf.front().flit.head);
+      route_compute(iv, idx);
     }
   }
 
   // --- VA: allocate output VCs in round-robin order ------------------------
   // Starting offset derived from the cycle number: identical to a pointer
   // incremented once per cycle, but invariant under idle-cycle skipping.
-  // Circular walk of the occupied VCs from that offset (a kNeedsVc head is
-  // always still buffered), in the order the former modular scan used.
+  // Circular walk of the needs-VC VCs from that offset.
   const int va_start = static_cast<int>(now % static_cast<Cycle>(total_vcs));
-  {
-    const std::size_t sw = static_cast<std::size_t>(va_start) >> 6;
-    const std::uint64_t high = ~0ULL << (va_start & 63);
-    std::uint64_t m = occupied_[sw] & high;
-    for (std::size_t step = 0; step <= mask_words_; ++step) {
-      const std::size_t w =
-          step == 0 ? sw
-                    : (step == mask_words_ ? sw : (sw + step) % mask_words_);
-      if (step == mask_words_) m = occupied_[sw] & ~high;
-      while (m != 0) {
-        const int idx = static_cast<int>(w << 6) + std::countr_zero(m);
-        m &= m - 1;
-        InputVc& iv = in_[static_cast<std::size_t>(idx)];
-        if (iv.state == VcState::kNeedsVc) {
-          try_allocate_vc(iv, idx);
-        }
-      }
-      if (step + 1 < mask_words_) m = occupied_[(sw + step + 1) % mask_words_];
-    }
-  }
+  walk_from(needs_vc_.data(), va_start, [&](int idx) {
+    try_allocate_vc(in_[static_cast<std::size_t>(idx)], idx);
+    return false;
+  });
 
   // --- SA: switch allocation + traversal -----------------------------------
   switch_allocate(now);
@@ -315,147 +332,120 @@ void Router::switch_allocate(Cycle now) {
   std::fill(sa_in_port_used_.begin(), sa_in_port_used_.end(), 0);
   std::fill(sa_out_port_used_.begin(), sa_out_port_used_.end(), 0);
 
-  // Examines the requesters of `out_p` in round-robin order starting at
-  // sa_in_rr_[out_p] (exactly the order the former linear scan over every
-  // input VC produced), but walks only set bits of the request mask.
-  // Returns true when a flit was granted.
-  auto grant_one = [&](std::size_t out_p) {
-    const std::uint64_t* mask = &sa_request_mask_[out_p * mask_words_];
-    const int start = sa_in_rr_[out_p];
-
-    auto try_grant = [&](int idx) {
-      InputVc& iv = in_[static_cast<std::size_t>(idx)];
-      const auto in_port = static_cast<std::size_t>(idx) /
-                           static_cast<std::size_t>(cfg_.vcs);
-      if (iv.buf.empty()) return false;
-      if (sa_in_port_used_[in_port]) {
-        ++stats_.sa_conflict_stalls;
-        return false;
-      }
-      if (iv.buf.front().ready_time > now) return false;
-      OutputVc& ov = out_[static_cast<std::size_t>(flat(out_p, iv.out_vc))];
-      if (ov.credits <= 0) {
-        ++stats_.sa_credit_stalls;
-        return false;
-      }
-
-      // Grant: traverse the switch and the output link (an 8-byte copy).
-      Flit f = iv.buf.front().flit;
-      iv.buf.pop_front();
-      --buffered_;
-      if (iv.buf.empty()) {
-        occupied_[static_cast<std::size_t>(idx) >> 6] &=
-            ~(1ULL << (idx & 63));
-      }
-      f.vc = static_cast<std::uint8_t>(iv.out_vc);
-      if (iv.escape) {
-        f.escape = 1;
-        f.ud_phase = iv.next_phase & 1;
-      }
-      out_channel_[out_p]->push(f, now + out_latency_[out_p]);
-      --ov.credits;
-      ++iv.flits_sent;
-      ++stats_.flits_routed;
-      sa_in_port_used_[in_port] = 1;
-      sa_out_port_used_[out_p] = 1;
-
-      // Return a credit for the freed buffer slot upstream.
-      if (credit_channel_[in_port] != nullptr) {
-        credit_channel_[in_port]->push(
-            static_cast<int>(static_cast<std::size_t>(idx) %
-                             static_cast<std::size_t>(cfg_.vcs)),
-            now + credit_latency_[in_port]);
-      }
-
-      if (f.tail) {
-        // Release the input VC and (for network outputs) the output VC.
-        if (!iv.out_is_ejection) {
-          ov.owner = -1;
-          if (iv.out_vc >= 1) ++free_adaptive_[out_p];
-        }
-        clear_request(out_p, idx);
-        iv.state = VcState::kIdle;
-        iv.out_port = -1;
-        iv.out_vc = -1;
-        iv.escape = false;
-        iv.next_phase = 0;
-        iv.flits_sent = 0;
-      }
-      sa_in_rr_[out_p] = (idx + 1) % total_vcs;
-      return true;
-    };
-
-    // Word walk in circular flat-id order: the start word masked to bits
-    // >= start, the remaining words wrapping around, then the start word's
-    // low bits.
-    const std::size_t sw = static_cast<std::size_t>(start) >> 6;
-    const std::uint64_t high = ~0ULL << (start & 63);
-    std::uint64_t m = mask[sw] & high;
-    for (std::size_t step = 0; step <= mask_words_; ++step) {
-      const std::size_t w =
-          step == 0 ? sw
-                    : (step == mask_words_ ? sw : (sw + step) % mask_words_);
-      if (step == mask_words_) m = mask[sw] & ~high;
-      while (m != 0) {
-        const int idx =
-            static_cast<int>(w << 6) + std::countr_zero(m);
-        m &= m - 1;
-        if (try_grant(idx)) return true;
-      }
-      if (step + 1 < mask_words_) m = mask[(sw + step + 1) % mask_words_];
+  // Tries flat input VC `idx`, a requester of `out_p`; true on a grant.
+  auto try_grant = [&](std::size_t out_p, int idx) {
+    InputVc& iv = in_[static_cast<std::size_t>(idx)];
+    const auto in_port =
+        static_cast<std::size_t>(idx) / static_cast<std::size_t>(cfg_.vcs);
+    if (iv.buf.empty()) return false;
+    if (sa_in_port_used_[in_port]) {
+      ++stats_.sa_conflict_stalls;
+      return false;
     }
-    return false;
+    if (iv.buf.front().ready_time > now) return false;
+    OutputVc& ov = out_[static_cast<std::size_t>(flat(out_p, iv.out_vc))];
+    if (ov.credits <= 0) {
+      ++stats_.sa_credit_stalls;
+      return false;
+    }
+
+    // Grant: traverse the switch and the output link (an 8-byte copy).
+    Flit f = iv.buf.front().flit;
+    iv.buf.pop_front();
+    --buffered_;
+    if (iv.buf.empty()) clear_bit(occupied_.data(), idx);
+    f.vc = static_cast<std::uint8_t>(iv.out_vc);
+    if (iv.escape) {
+      f.escape = 1;
+      f.ud_phase = iv.next_phase & 1;
+    }
+    out_channel_[out_p]->push(f, now + out_latency_[out_p]);
+    --ov.credits;
+    ++iv.flits_sent;
+    clear_bit(revocable_.data(), idx);  // the packet has made progress
+    ++stats_.flits_routed;
+    sa_in_port_used_[in_port] = 1;
+    sa_out_port_used_[out_p] = 1;
+
+    // Return a credit for the freed buffer slot upstream.
+    if (credit_channel_[in_port] != nullptr) {
+      credit_channel_[in_port]->push(
+          static_cast<int>(static_cast<std::size_t>(idx) %
+                           static_cast<std::size_t>(cfg_.vcs)),
+          now + credit_latency_[in_port]);
+    }
+
+    if (f.tail) {
+      // Release the input VC and (for network outputs) the output VC.
+      if (!iv.out_is_ejection) {
+        ov.owner = -1;
+        if (iv.out_vc >= 1) ++free_adaptive_[out_p];
+      }
+      clear_request(out_p, idx);
+      clear_bit(non_idle_.data(), idx);
+      iv.state = VcState::kIdle;
+      iv.out_port = -1;
+      iv.out_vc = -1;
+      iv.escape = false;
+      iv.next_phase = 0;
+      iv.flits_sent = 0;
+    }
+    sa_in_rr_[out_p] = (idx + 1) % total_vcs;
+    return true;
   };
 
-  // iSLIP-style iterations: each pass matches still-unmatched output ports
-  // to still-unmatched input ports. The output round-robin offset is
-  // derived from the cycle number (see step()), so it is skip-invariant.
-  const std::size_t out_start =
+  // One greedy pass: each output port with requesters, in round-robin
+  // order from a cycle-derived offset (skip-invariant, see step()), grants
+  // its first ready requester in round-robin order from sa_in_rr_. A
+  // second pass could never grant: a port that granted nothing saw each
+  // requester fail on an empty buffer, a used input port, an unready head
+  // or zero credits, and within a cycle input ports only become used
+  // while a VC's buffer and credits change only through grants on its own
+  // output port. So each requester is visited at most once per cycle.
+  std::size_t out_p =
       static_cast<std::size_t>(now % static_cast<Cycle>(n_ports_));
-  for (int iter = 0; iter < cfg_.sa_iterations; ++iter) {
-    bool granted_any = false;
-    for (std::size_t i = 0; i < n_ports_; ++i) {
-      const std::size_t out_p = (out_start + i) % n_ports_;
-      // Request-free ports cannot grant; skipping them is free of side
-      // effects (grant_one on an empty mask calls no try_grant, so it
-      // touches no stats and draws nothing).
-      if (sa_req_count_[out_p] == 0) continue;
-      if (out_channel_[out_p] == nullptr || sa_out_port_used_[out_p]) continue;
-      if (grant_one(out_p)) granted_any = true;
-    }
-    if (!granted_any) break;  // no further matches possible
+  for (std::size_t i = 0; i < n_ports_; ++i, ++out_p) {
+    if (out_p == n_ports_) out_p = 0;
+    // Request-free ports cannot grant; skipping them is free of side
+    // effects (an empty mask calls no try_grant, so it touches no stats).
+    if (sa_req_count_[out_p] == 0 || out_channel_[out_p] == nullptr) continue;
+    walk_from(&sa_request_mask_[out_p * mask_words_], sa_in_rr_[out_p],
+              [&](int idx) { return try_grant(out_p, idx); });
   }
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
 void Router::revoke_blocked_heads() {
-  // Ascending occupied-VC walk: a revocable head (zero flits sent) is by
-  // definition still buffered, so unoccupied VCs cannot qualify.
+  // Ascending walk of the revocable VCs (kActive toward a network output,
+  // no flit sent yet, so the head is still buffered).
   for (std::size_t w = 0; w < mask_words_; ++w) {
-    std::uint64_t m = occupied_[w];
+    std::uint64_t m = revocable_[w];
     while (m != 0) {
-    const int idx = static_cast<int>(w << 6) + std::countr_zero(m);
-    m &= m - 1;
-    InputVc& iv = in_[static_cast<std::size_t>(idx)];
-    if (iv.state != VcState::kActive || iv.out_is_ejection) continue;
-    if (iv.flits_sent > 0) continue;  // header already left: must stay
-    if (iv.buf.front().ready_time > now_) continue;
-    OutputVc& ov = out_[static_cast<std::size_t>(flat(iv.out_port, iv.out_vc))];
-    if (ov.credits > 0) continue;  // not blocked, just lost arbitration
-    // Header is blocked with zero progress: release the allocation so the
-    // next VA round can try other minimal ports or the escape VC. This
-    // must count toward the escape threshold, otherwise a header cycling
-    // through allocate/revoke on credit-starved VCs would never become
-    // eligible for the escape network.
-    ov.owner = -1;
-    if (iv.out_vc >= 1) ++free_adaptive_[static_cast<std::size_t>(iv.out_port)];
-    clear_request(static_cast<std::size_t>(iv.out_port), idx);
-    iv.out_port = -1;
-    iv.out_vc = -1;
-    iv.escape = false;
-    iv.state = VcState::kNeedsVc;
-    ++iv.blocked_cycles;
-    ++stats_.heads_revoked;
+      const int idx = static_cast<int>(w << 6) + std::countr_zero(m);
+      m &= m - 1;
+      InputVc& iv = in_[static_cast<std::size_t>(idx)];
+      if (iv.buf.front().ready_time > now_) continue;
+      OutputVc& ov =
+          out_[static_cast<std::size_t>(flat(iv.out_port, iv.out_vc))];
+      if (ov.credits > 0) continue;  // not blocked, just lost arbitration
+      // Header is blocked with zero progress: release the allocation so the
+      // next VA round can try other minimal ports or the escape VC. This
+      // must count toward the escape threshold, otherwise a header cycling
+      // through allocate/revoke on credit-starved VCs would never become
+      // eligible for the escape network.
+      ov.owner = -1;
+      if (iv.out_vc >= 1) {
+        ++free_adaptive_[static_cast<std::size_t>(iv.out_port)];
+      }
+      clear_request(static_cast<std::size_t>(iv.out_port), idx);
+      clear_bit(revocable_.data(), idx);
+      set_bit(needs_vc_.data(), idx);
+      iv.out_port = -1;
+      iv.out_vc = -1;
+      iv.escape = false;
+      iv.state = VcState::kNeedsVc;
+      ++iv.blocked_cycles;
+      ++stats_.heads_revoked;
     }
   }
 }
@@ -558,10 +548,7 @@ Router::FaultExcision Router::fault_excise(
           for (const BufFlit& bf : kept) iv.buf.push_back(bf);
           buffered_ -= removed;
           result.flits_removed += removed;
-          if (iv.buf.empty()) {
-            occupied_[static_cast<std::size_t>(idx) >> 6] &=
-                ~(1ULL << (idx & 63));
-          }
+          if (iv.buf.empty()) clear_bit(occupied_.data(), idx);
         }
       }
 
@@ -591,11 +578,15 @@ Router::FaultExcision Router::fault_excise(
         iv.state = VcState::kIdle;
         iv.blocked_cycles = 0;
         iv.cur_packet = 0;
+        clear_bit(needs_vc_.data(), idx);
+        clear_bit(non_idle_.data(), idx);
       } else {
         assert(iv.flits_sent == 0);
         iv.state = VcState::kNeedsVc;
+        set_bit(needs_vc_.data(), idx);
         ++result.packets_rerouted;
       }
+      clear_bit(revocable_.data(), idx);
       iv.out_port = -1;
       iv.out_vc = -1;
       iv.out_is_ejection = false;
@@ -617,12 +608,26 @@ bool Router::invariants_ok(std::string* why) const {
   }
   for (std::size_t p = 0; p < n_ports_; ++p) {
     for (int v = 0; v < cfg_.vcs; ++v) {
-      const InputVc& iv = in_[static_cast<std::size_t>(flat(p, v))];
       const int idx = flat(p, v);
-      const bool marked =
-          (occupied_[static_cast<std::size_t>(idx) >> 6] >> (idx & 63)) & 1;
-      if (marked != !iv.buf.empty()) {
+      const InputVc& iv = in_[static_cast<std::size_t>(idx)];
+      const bool occupied = test_bit(occupied_.data(), idx);
+      const bool needs_vc = test_bit(needs_vc_.data(), idx);
+      const bool revocable = test_bit(revocable_.data(), idx);
+      if (occupied != !iv.buf.empty()) {
         return fail("occupancy bit out of sync with buffer");
+      }
+      if (needs_vc != (iv.state == VcState::kNeedsVc)) {
+        return fail("needs-VC bit out of sync with VC state");
+      }
+      if (test_bit(non_idle_.data(), idx) != (iv.state != VcState::kIdle)) {
+        return fail("non-idle bit out of sync with VC state");
+      }
+      if (revocable != (iv.state == VcState::kActive && !iv.out_is_ejection &&
+                        iv.flits_sent == 0)) {
+        return fail("revocable bit out of sync with VC state");
+      }
+      if ((needs_vc || revocable) && !occupied) {
+        return fail("needs-VC or revocable VC without a buffered head");
       }
       if (iv.buf.size() > static_cast<std::size_t>(cfg_.buffer_depth)) {
         return fail("input buffer overflow");

@@ -11,13 +11,14 @@
 // (Duato's protocol, conservative stay-on-escape variant).
 //
 // Hot-path layout: input and output VC state lives in flat [port*vcs + vc]
-// arrays (one contiguous block each, walked linearly every cycle), flit
-// buffers are fixed-capacity rings sized to buffer_depth, and the switch
-// allocator's matching scratch is preallocated — a steady-state step() does
-// no heap allocation. Flits are 8-byte routing words (see flit.hpp); the
-// only cold data a router ever needs — the destination endpoint for
-// ejection-port routing — is looked up once per packet in the Network's
-// PacketTable when the head flit is route-computed.
+// arrays (one contiguous block each), flit buffers are fixed-capacity rings
+// sized to buffer_depth, and the switch allocator's matching scratch is
+// preallocated — a steady-state step() does no heap allocation. Bitmasks
+// over the flat input-VC ids (occupancy, VC state, SA requests) let every
+// stage walk only the VCs it can act on. Flits are 8-byte routing words
+// (see flit.hpp); the only cold data a router ever needs — the destination
+// endpoint for ejection-port routing — is looked up once per packet in the
+// Network's PacketTable when the head flit is route-computed.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +43,8 @@ class Router {
   /// register increment, cheap enough to run unconditionally) and flushed
   /// into the telemetry registry by ~Simulator when telemetry is enabled.
   /// Zeroed by reset() like every other mutable field.
+  /// The two SA stall counters count each stalled input VC at most once
+  /// per cycle (switch allocation visits every requester at most once).
   struct HotStats {
     std::uint64_t flits_routed = 0;       ///< switch grants (flit traversals)
     std::uint64_t va_stall_cycles = 0;    ///< VC-allocation failures
@@ -124,7 +127,8 @@ class Router {
   }
 
   /// Validates internal invariants (buffer bounds, credit bounds, ownership
-  /// consistency). Returns false and fills `why` on violation.
+  /// consistency, every per-VC bitmask against the VC state). Returns false
+  /// and fills `why` on violation.
   [[nodiscard]] bool invariants_ok(std::string* why = nullptr) const;
 
   // --- Fault-injection hooks (cold path; driven by Network) -----------------
@@ -222,17 +226,30 @@ class Router {
   /// per-port requester count lets SA skip request-free ports with one
   /// load instead of probing an empty mask per port per cycle.
   void mark_request(std::size_t out_p, int iv_flat) {
-    sa_request_mask_[out_p * mask_words_ +
-                     (static_cast<std::size_t>(iv_flat) >> 6)] |=
-        1ULL << (iv_flat & 63);
+    set_bit(&sa_request_mask_[out_p * mask_words_], iv_flat);
     ++sa_req_count_[out_p];
   }
   void clear_request(std::size_t out_p, int iv_flat) {
-    sa_request_mask_[out_p * mask_words_ +
-                     (static_cast<std::size_t>(iv_flat) >> 6)] &=
-        ~(1ULL << (iv_flat & 63));
+    clear_bit(&sa_request_mask_[out_p * mask_words_], iv_flat);
     --sa_req_count_[out_p];
   }
+
+  static void set_bit(std::uint64_t* mask, int idx) {
+    mask[static_cast<std::size_t>(idx) >> 6] |= 1ULL << (idx & 63);
+  }
+  static void clear_bit(std::uint64_t* mask, int idx) {
+    mask[static_cast<std::size_t>(idx) >> 6] &= ~(1ULL << (idx & 63));
+  }
+  [[nodiscard]] static bool test_bit(const std::uint64_t* mask, int idx) {
+    return (mask[static_cast<std::size_t>(idx) >> 6] >> (idx & 63)) & 1;
+  }
+
+  /// Calls `visit(idx)` for the set bits of the mask_words_-word `mask` in
+  /// circular flat-id order from `start` (bits >= start ascending, then the
+  /// bits below start) until it returns true; returns whether it did. Words
+  /// are loaded as the walk reaches them, so `visit` may clear its own bit.
+  template <typename Visit>
+  bool walk_from(const std::uint64_t* mask, int start, Visit&& visit) const;
 
   void route_compute(InputVc& iv, int iv_flat);
   bool try_allocate_vc(InputVc& iv, int iv_flat);
@@ -277,16 +294,20 @@ class Router {
   std::vector<std::uint64_t> sa_request_mask_;
   std::vector<std::uint16_t> sa_req_count_;  ///< requesters per output port
 
-  // Occupancy bitmask over flat input-VC ids: bit set iff the VC buffers at
-  // least one flit. Every per-VC action of step() requires a buffered flit
-  // (RC classifies a buffered head, VA only sees kNeedsVc VCs — whose head
-  // is still buffered by construction — and the escape-fallback revocation
-  // skips empty buffers; SA walks its own request masks), so RC/VA/revoke
-  // walk only set bits instead of scanning every VC. The walks visit bits
-  // in exactly the order the former linear scans used (ascending for
-  // RC/revoke, circular from the cycle-derived offset for VA), keeping
-  // arbitration and RNG draws bit-identical.
-  std::vector<std::uint64_t> occupied_;
+  // Per-VC bitmasks over flat input-VC ids, updated at every buffer and
+  // state change, so each stage of step() walks only the VCs it can act
+  // on: RC the occupied idle VCs, VA the needs-VC VCs, the escape-fallback
+  // revocation the revocable ones (SA walks its own request masks). The
+  // walks visit bits in exactly the order a linear scan over every VC
+  // would (ascending for RC/revoke, circular from the cycle-derived offset
+  // for VA), keeping arbitration and RNG draws bit-identical. A needs-VC
+  // or revocable VC still buffers its head, so both are subsets of
+  // occupied_ (invariants_ok checks every mask against the VC state).
+  std::vector<std::uint64_t> occupied_;  ///< buffers at least one flit
+  std::vector<std::uint64_t> needs_vc_;  ///< state == kNeedsVc
+  std::vector<std::uint64_t> non_idle_;  ///< state != kIdle
+  /// kActive toward a network output with no flit of the packet sent yet.
+  std::vector<std::uint64_t> revocable_;
 
   /// Per output port: free adaptive output VCs (owner < 0 among VCs
   /// 1..vcs-1). Lets a blocked header skip a fully-owned port with one load
