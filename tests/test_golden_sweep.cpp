@@ -11,6 +11,8 @@
 // GoldenRouter pins the saturated router itself at N=37: throughput runs
 // per family x routing mode x offered rate plus one fault storm, each
 // reduced to its rates and the network's deterministic hot-path counters.
+// GoldenAnalytic pins the analytic half (diameter, average hop distance,
+// bisection) and the partitioner's exact bisections for N up to 640.
 // Regenerating: when a PR deliberately changes simulation results (e.g. a
 // new RNG stream layout), run the suite once with HM_REGEN_GOLDEN=1 — the
 // t1 instantiation rewrites tests/golden/ from a 1-thread run and every
@@ -23,6 +25,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/arrangement.hpp"
 #include "core/evaluator.hpp"
@@ -30,8 +34,10 @@
 #include "explore/sweep.hpp"
 #include "faults/fault_plan.hpp"
 #include "noc/simulator.hpp"
+#include "partition/partitioner.hpp"
 #include "search/search.hpp"
 #include "search/tempering.hpp"
+#include "util/stable_hash.hpp"
 
 namespace {
 
@@ -322,6 +328,57 @@ TEST(GoldenRouter, SaturatedN37MatchesCapture) {
   const std::string golden = read_file(path);
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(actual, golden) << "router_n37.txt diverged from the golden";
+}
+
+// --- Analytic half -----------------------------------------------------------
+
+/// One line per family x N: the partitioner's cut and a digest of its side
+/// vector (run on every graph, regular ones included, so the exact
+/// bisection is pinned even where evaluate_analytic uses a closed form),
+/// then evaluate_analytic's diameter, average hop distance and bisection.
+std::string analytic_golden_capture() {
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 2; n <= 40; ++n) counts.push_back(n);
+  for (const std::size_t n :
+       {48, 64, 91, 100, 127, 128, 200, 256, 331, 400, 512, 640}) {
+    counts.push_back(n);
+  }
+  const std::pair<ArrangementType, const char*> families[] = {
+      {ArrangementType::kGrid, "grid"},
+      {ArrangementType::kBrickwall, "brickwall"},
+      {ArrangementType::kHexaMesh, "hexamesh"}};
+
+  std::string out;
+  char buf[256];
+  for (const auto& [type, family] : families) {
+    for (const std::size_t n : counts) {
+      const auto arr = make_arrangement(type, n);
+      const auto cut = hm::partition::bisect(arr.graph());
+      hm::util::StableHash side;
+      for (const int s : cut.side) side.mix_i(s);
+      const auto r = hm::core::evaluate_analytic(arr);
+      std::snprintf(buf, sizeof buf,
+                    "%s-%zu cut=%zu side=%016llx diameter=%d"
+                    " avg_hop_distance=%.17g bisection_links=%zu\n",
+                    family, n, cut.cut_edges,
+                    static_cast<unsigned long long>(side.value()),
+                    r.diameter, r.avg_hop_distance, r.bisection_links);
+      out += buf;
+    }
+  }
+  return out;
+}
+
+TEST(GoldenAnalytic, BisectionsAndDistancesMatchCapture) {
+  const std::string path = std::string(HM_GOLDEN_DIR) + "/analytic.txt";
+  const std::string actual = analytic_golden_capture();
+  if (std::getenv("HM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+    GTEST_SKIP() << "HM_REGEN_GOLDEN set: golden rewritten, not compared";
+  }
+  const std::string golden = read_file(path);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(actual, golden) << "analytic.txt diverged from the golden";
 }
 
 }  // namespace
