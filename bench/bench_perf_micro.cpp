@@ -86,6 +86,13 @@ void bench_graph() {
                [&] { (void)hm::partition::bisection_width(arr.graph()); },
                g_smoke ? 0.02 : 0.2, 3));
   }
+  // Hundreds of chiplets, the top of analytic-scale's range: where the
+  // per-move cost of FM refinement shows.
+  const auto big = make_arrangement(ArrangementType::kHexaMesh, 640);
+  report("bisection.n640",
+         time_median(
+             [&] { (void)hm::partition::bisection_width(big.graph()); },
+             g_smoke ? 0.05 : 0.3, 3));
 }
 
 void bench_tables() {

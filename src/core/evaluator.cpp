@@ -69,8 +69,10 @@ void fill_analytic(const Arrangement& arr, const EvaluationParams& params,
   r.chiplet_count = n;
   r.regularity = arr.regularity();
 
-  r.diameter = graph::diameter(arr.graph());
-  r.avg_hop_distance = graph::average_distance(arr.graph());
+  const graph::DistanceSummary distances =
+      graph::distance_summary(arr.graph());
+  r.diameter = distances.diameter;
+  r.avg_hop_distance = distances.average_distance;
 
   // Bisection: closed form for regular arrangements, partitioner otherwise
   // (the paper uses METIS for semi-regular/irregular cases, Sec. IV-D).
@@ -199,7 +201,8 @@ EvaluationResult evaluate_simulation(
     search.measure = params.throughput_measure;
     // Seed the search with the analytic saturation estimate so a good
     // estimate needs ~3 probes instead of ~7. A bad estimate costs extra
-    // probes, never a different answer.
+    // probes; where probe outcomes are not monotone it can also land on a
+    // different local knee than the plain bisection would.
     search.surrogate_rate = analytic_saturation_estimate(r, params);
     const auto sat =
         noc::find_saturation(topology, params.sim, search, traffic,

@@ -125,10 +125,13 @@ struct EvaluationResult {
 /// of `r` (bisection_links, link_count, avg_hop_distance, chiplet_count):
 /// the tighter of the uniform-traffic bisection bound and the
 /// channel-capacity bound on the per-endpoint flit rate, scaled by an
-/// empirical input-queued-router efficiency. Only a search seed — a poor
-/// estimate costs the saturation search extra probes, never a different
-/// answer. Returns 0 when the fields needed are missing/degenerate (the
-/// search then gallops up from the bottom of the grid).
+/// empirical input-queued-router efficiency. Only a search seed: a poor
+/// estimate costs the saturation search extra probes. The search returns
+/// a local knee of its dyadic grid (a stable point whose next step up is
+/// unstable), so where probe outcomes are not monotone in the rate a
+/// different estimate can return a different knee. Returns 0 when the
+/// fields needed are missing/degenerate (the search then gallops up from
+/// the bottom of the grid).
 [[nodiscard]] double analytic_saturation_estimate(
     const EvaluationResult& r, const EvaluationParams& params);
 

@@ -39,29 +39,62 @@ int eccentricity(const Graph& g, NodeId src) {
   return ecc;
 }
 
-int diameter(const Graph& g) {
-  if (g.node_count() <= 1) return 0;
-  int diam = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    diam = std::max(diam, eccentricity(g, v));
+DistanceSummary distance_summary(const Graph& g) {
+  const std::size_t n = g.node_count();
+  DistanceSummary out;
+  if (n <= 1) return out;
+
+  std::vector<std::size_t> offset(n + 1, 0);
+  std::vector<NodeId> target;
+  target.reserve(2 * g.edge_count());
+  for (NodeId v = 0; v < n; ++v) {
+    const auto nbrs = g.neighbors(v);
+    target.insert(target.end(), nbrs.begin(), nbrs.end());
+    offset[v + 1] = target.size();
   }
-  return diam;
+
+  std::vector<NodeId> queue(n);
+  std::vector<NodeId> reached_from(n, kInvalidNode);  // last BFS source
+  for (NodeId src = 0; src < n; ++src) {
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    queue[tail++] = src;
+    reached_from[src] = src;
+    // The queue holds one BFS level after another: queue[head, level_end)
+    // is the level at `depth` hops.
+    int depth = 0;
+    for (;;) {
+      const std::size_t level_end = tail;
+      out.total_distance += static_cast<long long>(depth) *
+                            static_cast<long long>(level_end - head);
+      for (; head < level_end; ++head) {
+        const NodeId u = queue[head];
+        for (std::size_t e = offset[u]; e < offset[u + 1]; ++e) {
+          const NodeId v = target[e];
+          if (reached_from[v] != src) {
+            reached_from[v] = src;
+            queue[tail++] = v;
+          }
+        }
+      }
+      if (tail == level_end) break;
+      ++depth;
+    }
+    if (tail != n) {
+      throw std::invalid_argument("distance_summary: graph is disconnected");
+    }
+    out.diameter = std::max(out.diameter, depth);
+  }
+  out.average_distance =
+      static_cast<double>(out.total_distance) /
+      (static_cast<double>(n) * static_cast<double>(n - 1));
+  return out;
 }
 
+int diameter(const Graph& g) { return distance_summary(g).diameter; }
+
 double average_distance(const Graph& g) {
-  const std::size_t n = g.node_count();
-  if (n <= 1) return 0.0;
-  long long total = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    for (int d : bfs_distances(g, v)) {
-      if (d == kUnreachable) {
-        throw std::invalid_argument("average_distance: graph is disconnected");
-      }
-      total += d;
-    }
-  }
-  return static_cast<double>(total) /
-         (static_cast<double>(n) * static_cast<double>(n - 1));
+  return distance_summary(g).average_distance;
 }
 
 bool is_connected(const Graph& g) {

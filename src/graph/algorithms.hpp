@@ -24,14 +24,33 @@ inline constexpr int kUnreachable = -1;
 /// Throws std::invalid_argument if some vertex is unreachable from `src`.
 [[nodiscard]] int eccentricity(const Graph& g, NodeId src);
 
+/// What one all-pairs BFS sweep yields: the diameter and the distance sum
+/// behind the average distance.
+struct DistanceSummary {
+  /// Largest shortest-path hop distance over all vertex pairs.
+  int diameter = 0;
+  /// Sum of shortest-path hop distances over all ordered pairs (u != v).
+  long long total_distance = 0;
+  /// total_distance / (n * (n - 1)); 0 for graphs with <= 1 vertex.
+  double average_distance = 0.0;
+};
+
+/// One BFS per source over a flat copy of the adjacency lists, with the
+/// queue and visit marks reused across sources. Throws
+/// std::invalid_argument if the graph is disconnected; all zeros for graphs
+/// with <= 1 vertex.
+[[nodiscard]] DistanceSummary distance_summary(const Graph& g);
+
 /// Network diameter: the maximum over all vertex pairs of the shortest-path
 /// hop distance (the paper's latency proxy). Throws std::invalid_argument if
 /// the graph is disconnected; returns 0 for graphs with <= 1 vertex.
+/// Same as distance_summary(g).diameter.
 [[nodiscard]] int diameter(const Graph& g);
 
 /// Mean shortest-path distance over all ordered vertex pairs (u != v).
 /// This predicts zero-load latency up to the per-hop cost. Throws if
-/// disconnected; returns 0 for graphs with <= 1 vertex.
+/// disconnected; returns 0 for graphs with <= 1 vertex. Same as
+/// distance_summary(g).average_distance.
 [[nodiscard]] double average_distance(const Graph& g);
 
 /// True iff every vertex is reachable from every other (or v <= 1).

@@ -324,9 +324,10 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   // in-network congestion). Comparing against the measured generated rate
   // rather than the nominal offered rate keeps low-rate probes with short
   // windows from flapping on traffic-generation shot noise — below the
-  // knee accepted tracks generated almost exactly, noise and all — which
-  // is what makes probe outcomes monotone in practice (the property the
-  // surrogate-bracketed search below leans on).
+  // knee accepted tracks generated almost exactly, noise and all. That
+  // keeps probe outcomes mostly monotone in the rate, but not always: a
+  // probe just below the knee can still drop packets where the next grid
+  // point does not.
   auto stable = [&](const ThroughputResult& r) {
     return r.dropped_packets == 0 &&
            r.accepted_flit_rate >= opts.stability * r.generated_flit_rate;
@@ -336,10 +337,14 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   // Gallop outward from the analytic estimate on the dyadic grid
   // k / 2^iterations — exactly the rates the plain bisection can probe
   // (its midpoints are dyadic, hence exactly representable, so memo keys
-  // coincide) — then binary-search the bracket. Probe outcomes are a pure
-  // function of the rate, so under monotone outcomes this returns the same
-  // grid point and accepted rate as the plain search (test_active_set pins
-  // this) in ~2 + log2(estimate error in grid steps) probes instead of
+  // coincide) — then binary-search the bracket. Like the plain search, it
+  // returns a local knee of the grid: lo_k is stable (or 0) and lo_k + 1
+  // is unstable (or lo_k is the top of the grid). Probe outcomes are a
+  // pure function of the rate, so under monotone outcomes the knee is
+  // unique and this returns the plain search's grid point and accepted
+  // rate; under non-monotone outcomes a different estimate can bracket a
+  // different knee (test_active_set pins both). It needs
+  // ~2 + log2(estimate error in grid steps) probes instead of
   // iterations + 1.
   if (opts.surrogate_rate >= 0.0 && opts.iterations >= 1) {
     const int scale = 1 << opts.iterations;

@@ -76,10 +76,13 @@ struct SaturationSearchOptions {
   /// Analytic saturation estimate in [0, 1] (e.g. from evaluate_analytic's
   /// bisection/channel-load bounds). When set, the search gallops outward
   /// from the estimate on the same dyadic probe grid the plain bisection
-  /// refines over, so a good estimate needs ~3 probes instead of ~7 — and
-  /// because probe outcomes are monotone in the offered rate in practice,
-  /// the returned rate is identical to the plain search's. Negative (the
-  /// default) disables the surrogate and runs the plain bisection.
+  /// refines over, so a good estimate needs ~3 probes instead of ~7. Either
+  /// search returns a local knee of the grid: a stable point (or 0) whose
+  /// next grid step up is unstable (or the point is 1.0). Where probe
+  /// outcomes are monotone in the offered rate that knee is unique and the
+  /// estimate cannot change the answer; where they are not, it can.
+  /// Negative (the default) disables the surrogate and runs the plain
+  /// bisection.
   double surrogate_rate = -1.0;
 };
 

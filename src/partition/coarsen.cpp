@@ -1,8 +1,8 @@
 #include "partition/coarsen.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
+#include <utility>
 
 namespace hm::partition::detail {
 
@@ -38,15 +38,18 @@ CoarseLevel coarsen_once(const WeightedGraph& g, std::mt19937& rng,
 
   CoarseLevel level;
   level.map.assign(n, 0);
-  std::uint32_t next_id = 0;
+  std::vector<std::uint32_t> rep;  // coarse vertex -> its lower fine vertex
+  rep.reserve(n);
   for (std::uint32_t v = 0; v < n; ++v) {
     // v is the representative of its pair (or a singleton) iff match[v] >= v.
     if (match[v] >= v) {
-      level.map[v] = next_id;
-      if (match[v] != v) level.map[match[v]] = next_id;
-      ++next_id;
+      const auto cv = static_cast<std::uint32_t>(rep.size());
+      level.map[v] = cv;
+      if (match[v] != v) level.map[match[v]] = cv;
+      rep.push_back(v);
     }
   }
+  const auto next_id = static_cast<std::uint32_t>(rep.size());
 
   level.graph.node_weight.assign(next_id, 0);
   level.graph.adj.resize(next_id);
@@ -54,17 +57,31 @@ CoarseLevel coarsen_once(const WeightedGraph& g, std::mt19937& rng,
     level.graph.node_weight[level.map[v]] += g.node_weight[v];
   }
 
-  // Merge parallel edges between coarse vertices by summing weights.
-  std::vector<std::map<std::uint32_t, int>> merged(next_id);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const std::uint32_t cv = level.map[v];
-    for (const auto& [u, w] : g.adj[v]) {
-      const std::uint32_t cu = level.map[u];
-      if (cv < cu) merged[cv][cu] += w;
-    }
-  }
+  // Merge parallel edges between coarse vertices by summing weights. For
+  // each coarse vertex cv, `row` collects its higher-numbered coarse
+  // neighbours; seen_by[cu] == cv marks cu as already in `row` at
+  // slot[cu]. Sorting `row` and emitting both directions in increasing cv
+  // leaves every adjacency list sorted by neighbour id.
+  std::vector<std::uint32_t> seen_by(next_id, kUnmatched);
+  std::vector<std::uint32_t> slot(next_id, 0);
+  std::vector<std::pair<std::uint32_t, int>> row;
   for (std::uint32_t cv = 0; cv < next_id; ++cv) {
-    for (const auto& [cu, w] : merged[cv]) {
+    row.clear();
+    const std::uint32_t fine[2] = {rep[cv], match[rep[cv]]};
+    for (int i = 0; i < (fine[0] == fine[1] ? 1 : 2); ++i) {
+      for (const auto& [u, w] : g.adj[fine[i]]) {
+        const std::uint32_t cu = level.map[u];
+        if (cu <= cv) continue;
+        if (seen_by[cu] != cv) {
+          seen_by[cu] = cv;
+          slot[cu] = static_cast<std::uint32_t>(row.size());
+          row.emplace_back(cu, 0);
+        }
+        row[slot[cu]].second += w;
+      }
+    }
+    std::sort(row.begin(), row.end());
+    for (const auto& [cu, w] : row) {
       level.graph.adj[cv].emplace_back(cu, w);
       level.graph.adj[cu].emplace_back(cv, w);
     }

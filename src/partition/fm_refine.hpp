@@ -14,6 +14,14 @@ namespace hm::partition::detail {
 /// improvement. Each pass tentatively moves every vertex at most once in
 /// best-gain order (subject to both parts staying <= `max_part_weight`) and
 /// rolls back to the best prefix. Returns the final cut weight.
+///
+/// Moves come from gain buckets (Fiduccia & Mattheyses, DAC 1982): per
+/// side, one vertex-id bitset per gain value in [-D, D], D the largest
+/// weighted degree. A move takes the highest non-empty bucket's lowest-id
+/// vertex that fits under the destination cap; between the two sides the
+/// higher gain wins and a tie goes to the lower id. That is the vertex a
+/// scan over all vertices would pick, so results do not depend on the
+/// buckets; a pass costs O(n + e) bucket updates instead of O(n^2).
 long long fm_refine(const WeightedGraph& g, std::vector<int>& side,
                     long long max_part_weight, int max_passes = 16);
 

@@ -19,23 +19,29 @@ using detail::WeightedGraph;
 std::vector<int> vcycle(const WeightedGraph& g0, std::mt19937& rng,
                         long long max_part_weight, bool multilevel) {
   // --- Coarsening phase ---------------------------------------------------
-  std::vector<WeightedGraph> graphs{g0};
+  // Level 0 is g0 itself; coarse[i] is level i + 1, and maps[i] maps level
+  // i's vertices onto level i + 1's.
+  std::vector<WeightedGraph> coarse;
   std::vector<std::vector<std::uint32_t>> maps;
+  const auto graph_at = [&](std::size_t lvl) -> const WeightedGraph& {
+    return lvl == 0 ? g0 : coarse[lvl - 1];
+  };
   if (multilevel) {
     // Cap merged vertex weight so the coarsest graph stays balanceable.
     const int max_nw = std::max<int>(
         2, static_cast<int>(g0.total_node_weight() / 10));
-    while (graphs.back().n() > 24) {
-      CoarseLevel level = detail::coarsen_once(graphs.back(), rng, max_nw);
+    while (graph_at(coarse.size()).n() > 24) {
+      const WeightedGraph& finest = graph_at(coarse.size());
+      CoarseLevel level = detail::coarsen_once(finest, rng, max_nw);
       // Stop if matching no longer shrinks the graph meaningfully.
-      if (level.graph.n() >= graphs.back().n() * 95 / 100) break;
+      if (level.graph.n() >= finest.n() * 95 / 100) break;
       maps.push_back(std::move(level.map));
-      graphs.push_back(std::move(level.graph));
+      coarse.push_back(std::move(level.graph));
     }
   }
 
   // --- Initial partition on the coarsest graph ----------------------------
-  const WeightedGraph& coarsest = graphs.back();
+  const WeightedGraph& coarsest = graph_at(coarse.size());
   std::vector<int> side;
   long long best_cut = -1;
   const int tries = std::max<std::size_t>(1, std::min<std::size_t>(coarsest.n(), 8));
@@ -53,14 +59,15 @@ std::vector<int> vcycle(const WeightedGraph& g0, std::mt19937& rng,
   }
 
   // --- Uncoarsening + refinement -------------------------------------------
-  for (std::size_t lvl = graphs.size() - 1; lvl-- > 0;) {
+  for (std::size_t lvl = coarse.size(); lvl-- > 0;) {
     const auto& map = maps[lvl];
-    std::vector<int> fine_side(graphs[lvl].n());
-    for (std::uint32_t v = 0; v < graphs[lvl].n(); ++v) {
+    const WeightedGraph& fine = graph_at(lvl);
+    std::vector<int> fine_side(fine.n());
+    for (std::uint32_t v = 0; v < fine.n(); ++v) {
       fine_side[v] = side[map[v]];
     }
     side = std::move(fine_side);
-    detail::fm_refine(graphs[lvl], side, max_part_weight);
+    detail::fm_refine(fine, side, max_part_weight);
   }
   return side;
 }

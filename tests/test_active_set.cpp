@@ -5,9 +5,13 @@
 //     accounting are bit-identical to the dense reference sweep across
 //     routing modes, seeds and traffic patterns — including the quiescence
 //     fast-forward (which must actually engage at low load).
-//  2. The surrogate-bracketed saturation search returns exactly the plain
-//     bisection's rate (it probes the same dyadic grid), within a bounded
-//     probe budget when the analytic estimate is wired in.
+//  2. The surrogate-bracketed saturation search probes the plain
+//     bisection's dyadic grid and returns a local knee of it: a stable
+//     point (or 0) whose next grid step up is unstable (or the point is
+//     1.0). Where probe outcomes are monotone that is the plain search's
+//     answer, within a bounded probe budget when the analytic estimate is
+//     wired in; where they are not, different seeds may stop at different
+//     knees.
 //
 // Plus: Network::reset() clears the active-set state (the arena recycles
 // networks through reset(); stale worklists would violate the skip-mode
@@ -15,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -185,8 +191,9 @@ TEST(SurrogateSearch, SameRateAsPlainBisectionForAnyEstimate) {
   const auto plain = hm::noc::find_saturation(topo, cfg, opts);
   ASSERT_GT(plain.saturation_flit_rate, 0.0);
 
-  // Any estimate — spot-on, too low, too high, or at either boundary —
-  // must land on the same grid point with the same accepted rate.
+  // Probe outcomes on this design are monotone in the rate, so any
+  // estimate — spot-on, too low, too high, or at either boundary — must
+  // land on the same grid point with the same accepted rate.
   for (const double estimate :
        {plain.saturation_flit_rate, 0.0, 0.05, 0.3, 0.9, 1.0}) {
     auto sopts = opts;
@@ -224,6 +231,63 @@ TEST(SurrogateSearch, ProbeBudgetBounded) {
   EXPECT_EQ(pruned.saturation_flit_rate, plain.saturation_flit_rate);
   EXPECT_LE(pruned.probes, 6);
   EXPECT_LT(pruned.probes, plain.probes);
+}
+
+TEST(SurrogateSearch, ReturnsALocalKneeWhenOutcomesAreNotMonotone) {
+  // HexaMesh N=37 at simulator seed 20230718 with 500 + 500-cycle probes
+  // is not monotone near its knee: 0.484375 (k = 31) drops packets while
+  // 0.5 (k = 32) is stable. A seed below that dip stops under it, so the
+  // seed can change the answer. What holds for every seed is the local
+  // knee: the returned point is stable (or 0), and one grid step above it
+  // is unstable (or the point is 1.0).
+  const auto arr = make_arrangement(ArrangementType::kHexaMesh, 37);
+  const auto topo = hm::noc::TopologyContext::acquire(arr.graph());
+  SimConfig cfg;
+  cfg.seed = 20230718;
+  hm::noc::SaturationSearchOptions opts;
+  opts.warmup = 500;
+  opts.measure = 500;
+  const int scale = 1 << opts.iterations;
+
+  std::map<int, bool> outcomes;  // grid point k -> stable at k / scale
+  auto stable_at = [&](int k) {
+    if (const auto it = outcomes.find(k); it != outcomes.end()) {
+      return it->second;
+    }
+    Simulator sim(topo, cfg);
+    const auto r = sim.run_throughput(static_cast<double>(k) / scale,
+                                      opts.warmup, opts.measure);
+    const bool stable = r.dropped_packets == 0 &&
+                        r.accepted_flit_rate >=
+                            opts.stability * r.generated_flit_rate;
+    outcomes.emplace(k, stable);
+    return stable;
+  };
+  ASSERT_FALSE(stable_at(31));
+  ASSERT_TRUE(stable_at(32));
+
+  auto search = [&](double surrogate) {
+    auto sopts = opts;
+    sopts.surrogate_rate = surrogate;
+    const double rate =
+        hm::noc::find_saturation(topo, cfg, sopts).saturation_flit_rate;
+    const int k = static_cast<int>(std::lround(rate * scale));
+    EXPECT_EQ(static_cast<double>(k) / scale, rate)
+        << "surrogate=" << surrogate << ": off the dyadic grid";
+    if (k > 0) {
+      EXPECT_TRUE(stable_at(k)) << "surrogate=" << surrogate;
+    }
+    if (k < scale) {
+      EXPECT_FALSE(stable_at(k + 1)) << "surrogate=" << surrogate;
+    }
+    return rate;
+  };
+  EXPECT_EQ(search(-1.0), 0.5);  // plain bisection
+  EXPECT_EQ(search(0.4345), 0.46875);
+  EXPECT_EQ(search(0.4989), 0.5);
+  for (const double surrogate : {0.0, 0.25, 0.47, 0.75, 1.0}) {
+    (void)search(surrogate);
+  }
 }
 
 }  // namespace

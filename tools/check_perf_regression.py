@@ -4,7 +4,8 @@
 Compares a freshly measured perf JSON against the committed baseline and
 fails (exit 1) when:
 
-  * a guarded metric (sim_cycle.*, sim_cycle_lowload.*, sat.probes.*, or
+  * a guarded metric (sim_cycle.*, sim_cycle_lowload.*, sat.probes.*, the
+    analytic half's bisection.*, diameter.* and evaluate_analytic.*, or
     sweep21.wall_s.t1) regressed by more than --max-regression (default
     1.25, i.e. >25% slower/worse) — direction-aware: for the
     sim_cycle_lowload.speedup.* ratios a *drop* below
@@ -39,7 +40,8 @@ import json
 import os
 import sys
 
-GUARDED_PREFIXES = ("sim_cycle.", "sim_cycle_lowload.", "sat.probes.")
+GUARDED_PREFIXES = ("sim_cycle.", "sim_cycle_lowload.", "sat.probes.",
+                    "bisection.", "diameter.", "evaluate_analytic.")
 GUARDED_KEYS = ("sweep21.wall_s.t1",)
 # Guarded metrics where *higher* is better (speedup ratios): a drop below
 # baseline / max-regression is the failure, not a rise above it.
