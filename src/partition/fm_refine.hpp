@@ -21,7 +21,8 @@ namespace hm::partition::detail {
 /// vertex that fits under the destination cap; between the two sides the
 /// higher gain wins and a tie goes to the lower id. That is the vertex a
 /// scan over all vertices would pick, so results do not depend on the
-/// buckets; a pass costs O(n + e) bucket updates instead of O(n^2).
+/// buckets, and a pass needs O(n + e) bucket updates instead of an O(n)
+/// scan for every move.
 long long fm_refine(const WeightedGraph& g, std::vector<int>& side,
                     long long max_part_weight, int max_passes = 16);
 

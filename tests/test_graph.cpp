@@ -2,6 +2,7 @@
 // diameter/average distance, connectivity and the planar bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "graph/algorithms.hpp"
@@ -208,6 +209,45 @@ TEST(AverageDistance, PathOfThree) {
 
 TEST(AverageDistance, SingleVertexIsZero) {
   EXPECT_DOUBLE_EQ(hm::graph::average_distance(Graph(1)), 0.0);
+}
+
+// --- One sweep for both --------------------------------------------------------
+
+TEST(DistanceSummary, MatchesPerSourceBfs) {
+  for (const Graph& g : {path_graph(4), cycle_graph(9), grid_graph(5, 3),
+                         complete_graph(6)}) {
+    const auto n = static_cast<hm::graph::NodeId>(g.node_count());
+    long long total = 0;
+    int diam = 0;
+    for (hm::graph::NodeId v = 0; v < n; ++v) {
+      for (const int d : hm::graph::bfs_distances(g, v)) {
+        total += d;
+        diam = std::max(diam, d);
+      }
+    }
+    const auto s = hm::graph::distance_summary(g);
+    EXPECT_EQ(s.total_distance, total) << g.to_string();
+    EXPECT_EQ(s.diameter, diam) << g.to_string();
+    EXPECT_EQ(s.average_distance,
+              static_cast<double>(total) /
+                  (static_cast<double>(n) * static_cast<double>(n - 1)))
+        << g.to_string();
+    EXPECT_EQ(hm::graph::diameter(g), s.diameter);
+    EXPECT_EQ(hm::graph::average_distance(g), s.average_distance);
+  }
+  // Path 0-1-2-3: ordered pairs sum to 2 * (3 * 1 + 2 * 2 + 1 * 3) = 20.
+  EXPECT_EQ(hm::graph::distance_summary(path_graph(4)).total_distance, 20);
+}
+
+TEST(DistanceSummary, TrivialAndDisconnected) {
+  const auto one = hm::graph::distance_summary(Graph(1));
+  EXPECT_EQ(one.diameter, 0);
+  EXPECT_EQ(one.total_distance, 0);
+  EXPECT_EQ(one.average_distance, 0.0);
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(2, 3);
+  EXPECT_THROW((void)hm::graph::distance_summary(g), std::invalid_argument);
 }
 
 // --- Connectivity ------------------------------------------------------------
