@@ -13,6 +13,10 @@
 // reduced to its rates and the network's deterministic hot-path counters.
 // GoldenAnalytic pins the analytic half (diameter, average hop distance,
 // bisection) and the partitioner's exact bisections for N up to 640.
+// GoldenLedger pins the Fig. 7 headline numbers at paper-scale N: a sweep
+// shaped like bench_fig7's (paper-default parameters, one fixed simulator
+// seed) with short windows, so a change that moves the reproduction's
+// latency or throughput ratios shows up as a diff of named numbers.
 // Regenerating: when a PR deliberately changes simulation results (e.g. a
 // new RNG stream layout), run the suite once with HM_REGEN_GOLDEN=1 — the
 // t1 instantiation rewrites tests/golden/ from a 1-thread run and every
@@ -379,6 +383,79 @@ TEST(GoldenAnalytic, BisectionsAndDistancesMatchCapture) {
   const std::string golden = read_file(path);
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(actual, golden) << "analytic.txt diverged from the golden";
+}
+
+// --- Fig. 7 headline ledger --------------------------------------------------
+
+/// One row per family x N with the four numbers Fig. 7 is built from, then
+/// one row per N with the brickwall/grid and HexaMesh/grid ratios of each.
+std::string ledger_golden_capture() {
+  hm::core::EvaluationParams params;
+  params.latency_warmup = 1000;
+  params.latency_measure = 3000;
+  params.throughput_warmup = 500;
+  params.throughput_measure = 500;
+
+  hm::explore::SweepSpec spec;
+  spec.types = {ArrangementType::kGrid, ArrangementType::kBrickwall,
+                ArrangementType::kHexaMesh};
+  spec.chiplet_counts = {16, 19, 37};
+  spec.param_grid = {params};
+  spec.derive_per_job_seeds = false;
+  hm::explore::SweepEngine::Options opt;
+  opt.threads = 1;
+  const auto records = hm::explore::SweepEngine(opt).run(spec);
+
+  std::string out;
+  char buf[512];
+  for (const auto& rec : records) {
+    EXPECT_TRUE(rec.error.empty()) << rec.error;
+    const auto& r = rec.result;
+    std::snprintf(buf, sizeof buf,
+                  "%s-%zu zero_load_latency_cycles=%.17g"
+                  " saturation_fraction=%.17g per_link_bandwidth_bps=%.17g"
+                  " saturation_throughput_bps=%.17g\n",
+                  hm::core::to_string(rec.point.type).c_str(),
+                  rec.point.chiplet_count, r.zero_load_latency_cycles,
+                  r.saturation_fraction, r.per_link_bandwidth_bps,
+                  r.saturation_throughput_bps);
+    out += buf;
+  }
+  // Records come out types-outer: grid, brickwall, HexaMesh per N block.
+  const std::size_t counts = spec.chiplet_counts.size();
+  for (std::size_t i = 0; i < counts; ++i) {
+    const auto& grid = records[i].result;
+    const auto& bw = records[counts + i].result;
+    const auto& hexa = records[2 * counts + i].result;
+    std::snprintf(
+        buf, sizeof buf,
+        "ratios-%zu latency bw=%.17g hm=%.17g throughput bw=%.17g hm=%.17g"
+        " link_bandwidth bw=%.17g hm=%.17g saturation_fraction bw=%.17g"
+        " hm=%.17g\n",
+        spec.chiplet_counts[i],
+        bw.zero_load_latency_cycles / grid.zero_load_latency_cycles,
+        hexa.zero_load_latency_cycles / grid.zero_load_latency_cycles,
+        bw.saturation_throughput_bps / grid.saturation_throughput_bps,
+        hexa.saturation_throughput_bps / grid.saturation_throughput_bps,
+        bw.per_link_bandwidth_bps / grid.per_link_bandwidth_bps,
+        hexa.per_link_bandwidth_bps / grid.per_link_bandwidth_bps,
+        bw.saturation_fraction / grid.saturation_fraction,
+        hexa.saturation_fraction / grid.saturation_fraction);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(GoldenLedger, Fig7HeadlineMatchesCapture) {
+  const std::string path = std::string(HM_GOLDEN_DIR) + "/ledger_fig7.txt";
+  const std::string actual = ledger_golden_capture();
+  if (std::getenv("HM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+    GTEST_SKIP() << "HM_REGEN_GOLDEN set: golden rewritten, not compared";
+  }
+  const std::string golden = read_file(path);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(actual, golden) << "ledger_fig7.txt diverged from the golden";
 }
 
 }  // namespace
