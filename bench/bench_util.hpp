@@ -40,9 +40,9 @@ inline std::vector<std::size_t> simulation_sweep() {
 
 /// Chiplet counts used by the analytic figures (Fig. 6); cheap, so always
 /// the full range the paper plots.
-inline std::vector<std::size_t> analytic_sweep(std::size_t lo = 1) {
+inline std::vector<std::size_t> analytic_sweep() {
   std::vector<std::size_t> all;
-  for (std::size_t n = lo; n <= 100; ++n) all.push_back(n);
+  for (std::size_t n = 1; n <= 100; ++n) all.push_back(n);
   return all;
 }
 
