@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../examples/cli_util.hpp"
 #include "core/arrangement.hpp"
 #include "core/evaluator.hpp"
 #include "explore/export.hpp"
@@ -82,13 +83,12 @@ inline void header(const std::string& what, const std::string& paper_ref) {
   std::printf("\n");
 }
 
-/// Sweep concurrency: HM_THREADS, defaulting to the hardware.
+/// Sweep concurrency: HM_THREADS, defaulting to the hardware (0, as for
+/// design_sweep --threads). A malformed value exits 1 with a message.
 inline unsigned sweep_threads() {
-  if (const char* env = std::getenv("HM_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<unsigned>(v);
-  }
-  return 0;  // ThreadPool resolves 0 to hardware_concurrency
+  const char* env = std::getenv("HM_THREADS");
+  if (env == nullptr) return 0;  // ThreadPool resolves 0 to the hardware
+  return cli::require_unsigned(env, "HM_THREADS", 0, 4096);
 }
 
 /// Runs `spec` on a fresh SweepEngine with the standard bench options and
