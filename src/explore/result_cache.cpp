@@ -98,23 +98,18 @@ std::optional<core::EvaluationResult> ResultCache::lookup(
       return it->second;
     }
   }
-  // Memory miss: fall through to the persistent tier. Only entries at or
-  // above the clear() watermark are served (older disk state must not
-  // resurrect cleared keys).
+  // Memory miss: fall through to the persistent tier.
   if (store_ != nullptr) {
-    std::uint64_t seq = 0;
-    if (auto stored = store_->lookup(key, &seq)) {
-      if (seq >= store_watermark_.load(std::memory_order_relaxed)) {
-        {
-          Shard& mutable_shard = shards_[shard_idx];
-          const std::unique_lock<std::shared_mutex> lock(mutable_shard.mu);
-          mutable_shard.map.insert_or_assign(key, *stored);
-          // Disk-sourced: not dirty, flushing it back would be a no-op.
-        }
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        counters.hits[shard_idx].add();
-        return stored;
+    if (auto stored = store_->lookup(key)) {
+      {
+        Shard& mutable_shard = shards_[shard_idx];
+        const std::unique_lock<std::shared_mutex> lock(mutable_shard.mu);
+        mutable_shard.map.insert_or_assign(key, *stored);
+        // Disk-sourced: not dirty, flushing it back would be a no-op.
       }
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      counters.hits[shard_idx].add();
+      return stored;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
@@ -137,22 +132,6 @@ std::size_t ResultCache::size() const {
     total += shard.map.size();
   }
   return total;
-}
-
-void ResultCache::clear() {
-  // Dirty sets go first, in the same critical section as the map wipe:
-  // a cleared entry must never survive into a later flush_to_store().
-  for (Shard& shard : shards_) {
-    const std::unique_lock<std::shared_mutex> lock(shard.mu);
-    shard.map.clear();
-    shard.dirty.clear();
-  }
-  if (store_ != nullptr) {
-    // Everything the store holds right now predates this clear; only
-    // entries sequenced after it may be served from disk again.
-    store_watermark_.store(store_->next_sequence(),
-                           std::memory_order_relaxed);
-  }
 }
 
 }  // namespace hm::explore

@@ -19,9 +19,7 @@
 // as a second tier. Memory misses fall through to the store (a disk hit
 // repopulates the shard and counts as a cache hit), inserts are tracked as
 // dirty per shard, and flush_to_store() — also run by the destructor —
-// writes the dirty set through. clear() drops the dirty sets *before* any
-// flush and takes a store sequence watermark, so cleared entries neither
-// reach disk nor resurrect from pre-clear disk state.
+// writes the dirty set through.
 #pragma once
 
 #include <array>
@@ -94,13 +92,6 @@ class ResultCache {
   /// result is approximate under concurrent insertion).
   [[nodiscard]] std::size_t size() const;
 
-  /// Empties the cache. Entries never inserted again are gone for good:
-  /// the per-shard dirty sets are discarded before anything could flush
-  /// (a cleared entry must not reach disk), and with a store attached the
-  /// store's current sequence becomes a freshness watermark so lookups
-  /// stop resurrecting disk entries that predate the clear.
-  void clear();
-
   /// Lifetime lookup counters (lookup() and get_or_compute()).
   ///
   /// Deprecated for observability use: lookups are also published, per
@@ -132,9 +123,6 @@ class ResultCache {
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   std::shared_ptr<store::ResultStore> store_;
-  /// Store entries with seq < watermark predate the last clear() and are
-  /// not served (the resurrection guard).
-  mutable std::atomic<std::uint64_t> store_watermark_{0};
 };
 
 }  // namespace hm::explore

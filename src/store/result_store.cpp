@@ -225,14 +225,13 @@ void ResultStore::load_locked() {
       auto [it, inserted] = index_.try_emplace(rec.key);
       if (!inserted) ++superseded_records_;
       it->second.result = std::move(rec.result);
-      it->second.seq = next_seq_++;
       it->second.on_disk = true;
     }
   }
 }
 
 std::optional<core::EvaluationResult> ResultStore::lookup(
-    std::uint64_t key, std::uint64_t* seq_out) const {
+    std::uint64_t key) const {
   static telemetry::Counter hits("store.hits");
   static telemetry::Counter misses("store.misses");
   const std::shared_lock<std::shared_mutex> lock(mu_);
@@ -242,7 +241,6 @@ std::optional<core::EvaluationResult> ResultStore::lookup(
     return std::nullopt;
   }
   hits.add();
-  if (seq_out != nullptr) *seq_out = it->second.seq;
   return it->second.result;
 }
 
@@ -251,7 +249,6 @@ void ResultStore::put(std::uint64_t key,
   const std::unique_lock<std::shared_mutex> lock(mu_);
   Entry& entry = index_[key];
   entry.result = result;
-  entry.seq = next_seq_++;
   if (!entry.pending) {
     entry.pending = true;
     pending_.push_back(key);
@@ -302,11 +299,6 @@ void ResultStore::write_segment_locked(
   }
 }
 
-std::uint64_t ResultStore::next_sequence() const {
-  const std::shared_lock<std::shared_mutex> lock(mu_);
-  return next_seq_;
-}
-
 std::size_t ResultStore::merge_from(const ResultStore& other) {
   if (&other == this) return 0;
   // Snapshot the source first so the two locks never nest (a concurrent
@@ -325,7 +317,6 @@ std::size_t ResultStore::merge_from(const ResultStore& other) {
     auto [it, inserted] = index_.try_emplace(key);
     if (!inserted) continue;  // deterministic keys: local value is the value
     it->second.result = std::move(result);
-    it->second.seq = next_seq_++;
     it->second.pending = true;
     pending_.push_back(key);
     ++imported;

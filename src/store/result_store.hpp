@@ -79,12 +79,10 @@ class ResultStore {
   /// environment variable (CLI wins). Empty when neither is set.
   [[nodiscard]] static std::string resolve_dir(const std::string& cli_dir);
 
-  /// Returns the stored result for `key`, if any. `seq_out`, when given,
-  /// receives the entry's load/insert sequence number — the freshness
-  /// token ResultCache's clear() watermark compares against. Counts a
-  /// store.hit or store.miss.
+  /// Returns the stored result for `key`, if any. Counts a store.hit or
+  /// store.miss.
   [[nodiscard]] std::optional<core::EvaluationResult> lookup(
-      std::uint64_t key, std::uint64_t* seq_out = nullptr) const;
+      std::uint64_t key) const;
 
   /// Stages `result` under `key` (visible to lookup immediately, durable
   /// after the next flush). Last writer wins; with deterministic
@@ -96,11 +94,6 @@ class ResultStore {
   /// nothing was pending — no empty segments). Throws std::runtime_error
   /// on I/O failure; the store is left unchanged in that case.
   std::size_t flush();
-
-  /// The sequence number the next loaded/staged entry would get. Entries
-  /// with seq < next_sequence() existed before "now" — the watermark
-  /// ResultCache::clear() uses to stop resurrecting pre-clear disk state.
-  [[nodiscard]] std::uint64_t next_sequence() const;
 
   /// Imports every key present in `other` but absent here (content hashes
   /// collide only for identical inputs, so the local value wins on
@@ -141,7 +134,6 @@ class ResultStore {
 
   struct Entry {
     core::EvaluationResult result;
-    std::uint64_t seq = 0;
     bool pending = false;  ///< key is in pending_
     bool on_disk = false;  ///< a segment already holds a record for key
   };
@@ -155,7 +147,6 @@ class ResultStore {
   std::vector<std::uint64_t> pending_;         ///< unique, first-put order
   std::vector<std::string> segment_names_;     ///< sorted, loaded set
   std::size_t superseded_records_ = 0;         ///< records a later one beats
-  std::uint64_t next_seq_ = 0;
   std::uint64_t next_segment_id_ = 0;
 };
 

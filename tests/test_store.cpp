@@ -605,48 +605,6 @@ TEST(CacheStoreIntegration, GetOrComputeUsesStoreBeforeComputing) {
   expect_results_bit_equal(make_result(7), result);
 }
 
-TEST(CacheStoreIntegration, ClearDoesNotResurrectPreClearDiskState) {
-  const auto dir = fresh_dir("resurrect");
-  hm::explore::ResultCache cache;
-  cache.attach_store(ResultStore::open(dir.string()));
-
-  bool was_hit = false;
-  (void)cache.get_or_compute(9, [] { return make_result(1); }, &was_hit);
-  EXPECT_FALSE(was_hit);
-  cache.flush_to_store();  // make_result(1) is on disk now
-
-  cache.clear();
-  // The regression this pins: without the watermark, this lookup would
-  // fall through to disk and resurrect the cleared make_result(1).
-  EXPECT_FALSE(cache.lookup(9).has_value());
-  const auto recomputed = cache.get_or_compute(
-      9, [] { return make_result(2); }, &was_hit);
-  EXPECT_FALSE(was_hit);  // really recomputed
-  expect_results_bit_equal(make_result(2), recomputed);
-
-  // The recomputed value is dirty and flushes; a fresh cache (watermark 0)
-  // then sees the post-clear value, never the cleared one.
-  EXPECT_EQ(cache.flush_to_store(), 1u);
-  hm::explore::ResultCache fresh;
-  fresh.attach_store(ResultStore::open(dir.string()));
-  const auto persisted = fresh.lookup(9);
-  ASSERT_TRUE(persisted.has_value());
-  expect_results_bit_equal(make_result(2), *persisted);
-}
-
-TEST(CacheStoreIntegration, ClearDropsDirtyEntriesBeforeFlush) {
-  const auto dir = fresh_dir("cleardirty");
-  hm::explore::ResultCache cache;
-  cache.attach_store(ResultStore::open(dir.string()));
-  cache.insert(11, make_result(1));
-  cache.clear();  // 11 was never flushed: it must never reach disk
-  EXPECT_EQ(cache.flush_to_store(), 0u);
-
-  const auto store = ResultStore::open(dir.string());
-  EXPECT_FALSE(store->lookup(11).has_value());
-  EXPECT_EQ(store->entry_count(), 0u);
-}
-
 TEST(CacheStoreIntegration, DestructorFlushesToStore) {
   const auto dir = fresh_dir("dtorflush");
   {
