@@ -17,6 +17,9 @@
 // shaped like bench_fig7's (paper-default parameters, one fixed simulator
 // seed) with short windows, so a change that moves the reproduction's
 // latency or throughput ratios shows up as a diff of named numbers.
+// GoldenExport pins the export bytes the sweep goldens never reach (escaped
+// labels and errors, fault columns, empty inputs) on hand-built records, so
+// it runs no simulation.
 // Regenerating: when a PR deliberately changes simulation results (e.g. a
 // new RNG stream layout), run the suite once with HM_REGEN_GOLDEN=1 — the
 // t1 instantiation rewrites tests/golden/ from a 1-thread run and every
@@ -27,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -456,6 +460,126 @@ TEST(GoldenLedger, Fig7HeadlineMatchesCapture) {
   const std::string golden = read_file(path);
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(actual, golden) << "ledger_fig7.txt diverged from the golden";
+}
+
+// --- Export edge cases -------------------------------------------------------
+
+/// A record with every exported field set by hand: no evaluation runs.
+hm::explore::SweepRecord edge_record(std::size_t index, ArrangementType type,
+                                     std::size_t chiplets) {
+  hm::explore::SweepRecord rec;
+  rec.point.index = index;
+  rec.point.type = type;
+  rec.point.chiplet_count = chiplets;
+  rec.point.param_index = index % 2;
+  rec.point.params.sim.seed = 18446744073709551615ull - index;
+  auto& r = rec.result;
+  r.chiplet_count = chiplets;
+  r.regularity = hm::core::RegularityClass::kIrregular;
+  r.diameter = static_cast<int>(index) + 3;
+  r.avg_hop_distance = 1.0 / 3.0;
+  r.bisection_links = 7;
+  r.chiplet_area_mm2 = 1e-300;
+  r.link_area_mm2 = -0.0;
+  r.per_link_bandwidth_bps = 123456789.125;
+  r.full_global_bandwidth_bps = 1e21;
+  r.zero_load_latency_cycles = 65.5;
+  r.latency_run_drained = index % 2 == 0;
+  r.saturation_fraction = 0.1;
+  r.saturation_throughput_bps = 2.5e-7;
+  return rec;
+}
+
+/// Each case's CSV and JSON export, then empty search and tempering traces
+/// and one hand-built row of each, under `== name ==` separators.
+std::string export_edge_capture() {
+  using hm::explore::SweepRecord;
+  std::string out;
+  const auto add = [&out](const std::string& name,
+                          const std::vector<SweepRecord>& records) {
+    out += "== " + name + ".csv ==\n" + hm::explore::to_csv(records);
+    out += "== " + name + ".json ==\n" + hm::explore::to_json(records);
+  };
+
+  // A warm-start label and an error holding every character either format
+  // has to escape, next to a plain analytic-only record.
+  const std::string nasty = "a,b\"c\nd\te\x01" "f\\g";
+  SweepRecord labelled = edge_record(0, ArrangementType::kHexaMesh, 7);
+  labelled.point.custom = std::make_shared<const hm::core::Arrangement>(
+      make_arrangement(ArrangementType::kHexaMesh, 7));
+  labelled.point.label = "searched " + nasty;
+  labelled.error = "evaluate failed: " + nasty;
+  SweepRecord plain = edge_record(1, ArrangementType::kGrid, 1);
+  plain.analytic_only = true;
+  add("escapes", {labelled, plain});
+
+  // The three non-uniform patterns' descriptions (hotspot's holds a comma).
+  std::vector<SweepRecord> patterns;
+  for (const auto pattern : {hm::noc::TrafficPattern::kHotspot,
+                             hm::noc::TrafficPattern::kBitComplement,
+                             hm::noc::TrafficPattern::kPermutation}) {
+    SweepRecord rec =
+        edge_record(patterns.size(), ArrangementType::kBrickwall, 9);
+    rec.point.traffic.pattern = pattern;
+    rec.point.traffic.hotspot_fraction = 0.3;
+    rec.point.traffic.hotspots = {0, 3};
+    rec.point.traffic.permutation_seed = 7;
+    patterns.push_back(rec);
+  }
+  add("traffic", patterns);
+
+  // One record with a fault scenario turns the fault columns on for all.
+  SweepRecord faulty = edge_record(0, ArrangementType::kGrid, 16);
+  faulty.point.params.faults.single_link_kills = 2;
+  faulty.point.params.faults.seed = 5;
+  faulty.point.params.faults.repair_after = 300;
+  faulty.result.fault_plans_run = 2;
+  faulty.result.fault_degraded_throughput = 0.0625;
+  faulty.result.fault_robust_throughput_bps = 3.75e11;
+  faulty.result.fault_recovery_cycles = -1;
+  faulty.result.fault_packets_lost = 18446744073709551615ull;
+  add("faults", {faulty, edge_record(1, ArrangementType::kGrid, 16)});
+
+  add("empty", {});
+
+  hm::search::SearchStep step;
+  step.step = 3;
+  step.kind = hm::search::MutationKind::kAddEdge;
+  step.candidates = 4;
+  step.accepted = true;
+  step.candidate_score = -2.5e-7;
+  step.current_score = 0.1;
+  step.best_score = 1e21;
+  step.temperature = 0.05;
+  step.temperature_floored = true;
+  step.graph_digest = 18446744073709551615ull;
+  step.edge_count = 42;
+  hm::search::TemperingStep rung;
+  static_cast<hm::search::ChainStep&>(rung) = step;
+  rung.replica = 2;
+  rung.exchanged = true;
+  rung.exchange_partner = 1;
+  const auto add_trace = [&out](const std::string& name, const auto& trace) {
+    out += "== " + name + ".csv ==\n" + hm::search::trace_to_csv(trace);
+    out += "== " + name + ".json ==\n" + hm::search::trace_to_json(trace);
+  };
+  add_trace("search_empty", std::vector<hm::search::SearchStep>{});
+  add_trace("search_row", std::vector<hm::search::SearchStep>{step});
+  add_trace("tempering_empty", std::vector<hm::search::TemperingStep>{});
+  add_trace("tempering_row", std::vector<hm::search::TemperingStep>{rung});
+  return out;
+}
+
+TEST(GoldenExport, EdgeCasesMatchCapture) {
+  const std::string path = std::string(HM_GOLDEN_DIR) + "/export_edge.txt";
+  const std::string actual = export_edge_capture();
+  if (std::getenv("HM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+    GTEST_SKIP() << "HM_REGEN_GOLDEN set: golden rewritten, not compared";
+  }
+  const std::string golden = read_file(path);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(actual, golden) << "export_edge.txt diverged from the golden";
 }
 
 }  // namespace
