@@ -113,7 +113,8 @@ void bench_tables() {
 }
 
 void bench_simulator_cycles() {
-  // Cycle rate of a saturated HexaMesh network (routers + endpoints). Under
+  // Cycle rate of a saturated HexaMesh network (routers + endpoints), fed
+  // from the traffic event stream the way Simulator::tick feeds it. Under
   // saturation nearly everything is busy, so this measures the worklist
   // machinery's overhead rather than its skipping wins (those show up in
   // bench_simulator_lowload).
@@ -123,18 +124,19 @@ void bench_simulator_cycles() {
     hm::noc::SimConfig cfg;
     const auto topo = hm::noc::TopologyContext::acquire(arr.graph());
     hm::noc::Simulator sim(topo, cfg);
-    hm::noc::UniformRandomTraffic traffic(sim.network().num_endpoints(), 1.0,
-                                          cfg.packet_length);
-    hm::noc::Rng rng(1);
+    hm::noc::SyntheticTraffic traffic({}, sim.network().num_endpoints(), 1.0,
+                                      cfg.packet_length);
+    traffic.bind(1, 0);
+    std::vector<hm::noc::Packet> due;
     hm::noc::Cycle now = 0;
     const int cycles_per_rep =
         n >= 271 ? (g_smoke ? 500 : 3000) : (g_smoke ? 2000 : 20000);
     auto run = [&] {
       for (int c = 0; c < cycles_per_rep; ++c) {
-        for (std::size_t e = 0; e < sim.network().num_endpoints(); ++e) {
-          auto p =
-              traffic.maybe_generate(static_cast<std::uint16_t>(e), now, rng);
-          if (p.has_value()) sim.network().offer_packet(e, *p);
+        due.clear();
+        traffic.generate_due(now, due);
+        for (const auto& p : due) {
+          (void)sim.network().offer_packet(p.src_endpoint, p);
         }
         sim.network().step(now);
         ++now;

@@ -1,7 +1,6 @@
 #include "noc/traffic.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
@@ -51,43 +50,6 @@ const char* to_string(TrafficPattern p) {
     case TrafficPattern::kPermutation: return "permutation";
   }
   return "?";
-}
-
-UniformRandomTraffic::UniformRandomTraffic(std::size_t num_endpoints,
-                                           double flit_rate,
-                                           int packet_length)
-    : num_endpoints_(num_endpoints),
-      flit_rate_(flit_rate),
-      packet_length_(packet_length),
-      packet_rate_(flit_rate / packet_length) {
-  if (num_endpoints < 2) {
-    throw std::invalid_argument(
-        "UniformRandomTraffic: need >= 2 endpoints for non-self traffic");
-  }
-  if (flit_rate < 0.0 || flit_rate > 1.0) {
-    throw std::invalid_argument(
-        "UniformRandomTraffic: flit_rate must be in [0, 1]");
-  }
-  if (packet_length < 1) {
-    throw std::invalid_argument(
-        "UniformRandomTraffic: packet_length must be >= 1");
-  }
-}
-
-std::optional<Packet> UniformRandomTraffic::maybe_generate(std::uint16_t src,
-                                                           Cycle now,
-                                                           Rng& rng) {
-  if (!rng.bernoulli(packet_rate_)) return std::nullopt;
-  // Uniform destination among the other endpoints.
-  auto dst = static_cast<std::uint16_t>(rng.uniform_int(num_endpoints_ - 1));
-  if (dst >= src) ++dst;
-  ++generated_;
-  Packet p;  // id is assigned by the PacketTable at source-queue admission
-  p.src_endpoint = src;
-  p.dst_endpoint = dst;
-  p.length = static_cast<std::uint16_t>(packet_length_);
-  p.gen_time = now;
-  return p;
 }
 
 SyntheticTraffic::SyntheticTraffic(TrafficSpec spec,
@@ -161,22 +123,6 @@ std::uint16_t SyntheticTraffic::draw_destination(std::uint16_t src, Rng& rng) {
   return dst;
 }
 
-std::optional<Packet> SyntheticTraffic::maybe_generate(std::uint16_t src,
-                                                       Cycle now, Rng& rng) {
-  if (!rng.bernoulli(packet_rate_)) return std::nullopt;
-
-  const std::uint16_t dst = draw_destination(src, rng);
-  if (dst == src) return std::nullopt;  // self-traffic carries no ICI load
-
-  ++generated_;
-  Packet p;  // id is assigned by the PacketTable at source-queue admission
-  p.src_endpoint = src;
-  p.dst_endpoint = dst;
-  p.length = static_cast<std::uint16_t>(packet_length_);
-  p.gen_time = now;
-  return p;
-}
-
 Cycle SyntheticTraffic::sample_gap(Rng& rng) const {
   if (packet_rate_ <= 0.0) return kNever;
   if (packet_rate_ >= 1.0) return 0;  // every cycle is a success
@@ -205,7 +151,7 @@ void SyntheticTraffic::bind(std::uint64_t base_seed, Cycle start_cycle) {
                             static_cast<std::uint16_t>(e)});
   }
   // Min-heap on (cycle, endpoint id): pops at equal cycles come out in
-  // ascending endpoint order, matching the dense sweep's admission order.
+  // ascending endpoint order.
   const auto later = [](const Event& a, const Event& b) {
     return a.at != b.at ? a.at > b.at : a.src > b.src;
   };
@@ -224,7 +170,6 @@ void SyntheticTraffic::generate_due(Cycle now, std::vector<Packet>& out) {
 
     const std::uint16_t dst = draw_destination(ev.src, rng);
     if (dst != ev.src) {  // self-traffic carries no ICI load
-      ++generated_;
       Packet p;  // id is assigned by the PacketTable at admission
       p.src_endpoint = ev.src;
       p.dst_endpoint = dst;

@@ -1,14 +1,13 @@
 // Traffic generation. The paper's evaluation uses uniform random traffic:
 // each endpoint injects flits at a configurable rate (flits/cycle/endpoint);
-// destinations are drawn uniformly among all other endpoints. The synthetic
-// generator additionally provides the classic BookSim-style patterns
+// destinations are drawn uniformly among all other endpoints.
+// SyntheticTraffic generates it, and also the classic BookSim-style patterns
 // (hotspot, bit-complement, random permutation) used by the traffic-pattern
 // ablation.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,54 +51,23 @@ struct TrafficSpec {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Bernoulli packet source with uniformly random destinations.
-class UniformRandomTraffic {
- public:
-  /// `flit_rate` is the offered load in flits/cycle/endpoint in [0, 1];
-  /// packets of `packet_length` flits are generated with probability
-  /// flit_rate / packet_length per endpoint per cycle.
-  UniformRandomTraffic(std::size_t num_endpoints, double flit_rate,
-                       int packet_length);
-
-  /// Rolls the Bernoulli die for endpoint `src` at cycle `now`.
-  [[nodiscard]] std::optional<Packet> maybe_generate(std::uint16_t src,
-                                                     Cycle now, Rng& rng);
-
-  [[nodiscard]] double flit_rate() const noexcept { return flit_rate_; }
-  [[nodiscard]] std::uint64_t packets_generated() const noexcept {
-    return generated_;
-  }
-
- private:
-  std::size_t num_endpoints_;
-  double flit_rate_;
-  int packet_length_;
-  double packet_rate_;
-  std::uint64_t generated_ = 0;  ///< packets returned (ids come from the
-                                 ///< PacketTable at admission, not here)
-};
-
-/// Bernoulli packet source with configurable destination pattern. Behaves
-/// exactly like UniformRandomTraffic for TrafficPattern::kUniform.
+/// Bernoulli packet source with a configurable destination pattern, driven
+/// as an event stream (bind / next_event_cycle / generate_due).
 class SyntheticTraffic {
  public:
-  /// Same rate semantics as UniformRandomTraffic. Throws
-  /// std::invalid_argument for out-of-range rates, < 2 endpoints, hotspot
-  /// endpoints out of range or hotspot_fraction outside [0, 1].
+  /// `flit_rate` is the offered load in flits/cycle/endpoint in [0, 1]:
+  /// every endpoint attempts a packet of `packet_length` flits with
+  /// probability flit_rate / packet_length per cycle. Throws
+  /// std::invalid_argument for out-of-range rates, packet_length < 1,
+  /// < 2 endpoints, hotspot endpoints out of range or hotspot_fraction
+  /// outside [0, 1].
   SyntheticTraffic(TrafficSpec spec, std::size_t num_endpoints,
                    double flit_rate, int packet_length);
 
-  /// Rolls the Bernoulli die for endpoint `src` at cycle `now`. Returns
-  /// nothing when the pattern maps `src` to itself (e.g. a hotspot endpoint
-  /// drawing itself, or a permutation fixed point).
-  [[nodiscard]] std::optional<Packet> maybe_generate(std::uint16_t src,
-                                                     Cycle now, Rng& rng);
-
   [[nodiscard]] const TrafficSpec& spec() const noexcept { return spec_; }
 
-  /// Destination endpoint `src` would target (for deterministic patterns;
-  /// kUniform/kHotspot draw per packet and return the first draw's rules:
-  /// exposed for tests via pattern-specific behaviour).
+  /// Fixed destination of `src` under kBitComplement and kPermutation.
+  /// Throws std::logic_error for the patterns that draw per packet.
   [[nodiscard]] std::uint16_t permutation_target(std::uint16_t src) const;
 
   // --- Event-driven source API (skip-idle stepping) -----------------------
@@ -131,7 +99,7 @@ class SyntheticTraffic {
   /// Runs every generation attempt due at or before `now`, appending the
   /// produced packets to `out` (self-traffic attempts produce nothing but
   /// still reschedule). Attempts at equal cycles run in ascending endpoint
-  /// order, matching the dense per-cycle endpoint sweep's admission order.
+  /// order, so the admission order is deterministic.
   void generate_due(Cycle now, std::vector<Packet>& out);
 
  private:
@@ -140,9 +108,8 @@ class SyntheticTraffic {
     std::uint16_t src = 0;
   };
 
-  /// Draws the destination for one admitted attempt of `src` (the part of
-  /// maybe_generate after the Bernoulli roll). May return src itself
-  /// (self-traffic: caller suppresses the packet).
+  /// Draws the destination for one generation attempt of `src`. May return
+  /// src itself (self-traffic: the caller suppresses the packet).
   [[nodiscard]] std::uint16_t draw_destination(std::uint16_t src, Rng& rng);
 
   /// Failures before the next Bernoulli(packet_rate_) success, sampled in
@@ -156,8 +123,6 @@ class SyntheticTraffic {
   std::vector<std::uint16_t> permutation_;
   std::vector<Rng> streams_;   ///< per-endpoint streams (bind())
   std::vector<Event> events_;  ///< min-heap on (at, src)
-  std::uint64_t generated_ = 0;  ///< packets returned (ids come from the
-                                 ///< PacketTable at admission, not here)
 };
 
 }  // namespace hm::noc

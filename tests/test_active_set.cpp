@@ -128,14 +128,14 @@ TEST(ActiveSet, ResetClearsActiveSetState) {
 
   // Leave `recycled` mid-flight: queued packets, buffered flits, in-flight
   // link traffic — every worklist populated.
-  hm::noc::UniformRandomTraffic traffic(recycled.num_endpoints(), 0.4,
-                                        cfg.packet_length);
-  hm::noc::Rng rng(3);
+  hm::noc::SyntheticTraffic traffic({}, recycled.num_endpoints(), 0.4,
+                                    cfg.packet_length);
+  traffic.bind(3, 0);
+  std::vector<hm::noc::Packet> due;
   for (Cycle now = 0; now < 120; ++now) {
-    for (std::size_t e = 0; e < recycled.num_endpoints(); ++e) {
-      auto p = traffic.maybe_generate(static_cast<std::uint16_t>(e), now, rng);
-      if (p.has_value()) (void)recycled.offer_packet(e, *p);
-    }
+    due.clear();
+    traffic.generate_due(now, due);
+    for (const auto& p : due) (void)recycled.offer_packet(p.src_endpoint, p);
     recycled.step(now);
   }
   ASSERT_FALSE(recycled.quiescent());
@@ -149,22 +149,13 @@ TEST(ActiveSet, ResetClearsActiveSetState) {
 
   // And behaviorally indistinguishable from a freshly built network: the
   // same offered traffic produces the same flit accounting cycle for cycle.
-  hm::noc::UniformRandomTraffic replay_a(fresh.num_endpoints(), 0.4,
-                                         cfg.packet_length);
-  hm::noc::UniformRandomTraffic replay_b(fresh.num_endpoints(), 0.4,
-                                         cfg.packet_length);
-  hm::noc::Rng rng_a(11);
-  hm::noc::Rng rng_b(11);
+  traffic.bind(11, 0);
   for (Cycle now = 0; now < 400; ++now) {
-    for (std::size_t e = 0; e < fresh.num_endpoints(); ++e) {
-      auto pa = replay_a.maybe_generate(static_cast<std::uint16_t>(e), now,
-                                        rng_a);
-      auto pb = replay_b.maybe_generate(static_cast<std::uint16_t>(e), now,
-                                        rng_b);
-      ASSERT_EQ(pa.has_value(), pb.has_value());
-      if (pa.has_value()) {
-        ASSERT_EQ(fresh.offer_packet(e, *pa), recycled.offer_packet(e, *pb));
-      }
+    due.clear();
+    traffic.generate_due(now, due);
+    for (const auto& p : due) {
+      ASSERT_EQ(fresh.offer_packet(p.src_endpoint, p),
+                recycled.offer_packet(p.src_endpoint, p));
     }
     fresh.step(now);
     recycled.step(now);

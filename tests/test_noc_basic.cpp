@@ -3,6 +3,8 @@
 // invariants, plus config validation.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/grid.hpp"
 #include "graph/graph.hpp"
 #include "noc/network.hpp"
@@ -16,6 +18,7 @@ using hm::noc::Network;
 using hm::noc::Packet;
 using hm::noc::Rng;
 using hm::noc::SimConfig;
+using hm::noc::SyntheticTraffic;
 
 Graph two_chiplets() {
   Graph g(2);
@@ -189,15 +192,14 @@ TEST(Conservation, HoldsThroughoutARandomRun) {
   const auto arr = hm::core::make_grid(9);
   SimConfig cfg = default_config();
   Network net(arr.graph(), cfg);
-  hm::noc::UniformRandomTraffic traffic(net.num_endpoints(), 0.3,
-                                        cfg.packet_length);
-  Rng rng(3);
+  SyntheticTraffic traffic({}, net.num_endpoints(), 0.3, cfg.packet_length);
+  traffic.bind(3, 0);
+  std::vector<Packet> due;
   Cycle now = 0;
   for (; now < 2000; ++now) {
-    for (std::size_t e = 0; e < net.num_endpoints(); ++e) {
-      auto pkt = traffic.maybe_generate(static_cast<std::uint16_t>(e), now, rng);
-      if (pkt.has_value()) net.offer_packet(e, *pkt);
-    }
+    due.clear();
+    traffic.generate_due(now, due);
+    for (const Packet& p : due) (void)net.offer_packet(p.src_endpoint, p);
     net.step(now);
     if (now % 250 == 0) {
       std::string why;
@@ -266,29 +268,32 @@ TEST(Simulator, AcceptedTracksOfferedBelowSaturation) {
 }
 
 TEST(Traffic, RatesAndDestinations) {
-  hm::noc::UniformRandomTraffic traffic(10, 0.5, 4);
-  Rng rng(11);
+  SyntheticTraffic traffic({}, 10, 0.5, 4);
+  traffic.bind(11, 0);
+  std::vector<Packet> packets;
+  for (Cycle t = 0; t < 20000; ++t) traffic.generate_due(t, packets);
   std::size_t generated = 0;
-  for (Cycle t = 0; t < 20000; ++t) {
-    auto p = traffic.maybe_generate(3, t, rng);
-    if (p.has_value()) {
-      ++generated;
-      EXPECT_NE(p->dst_endpoint, 3u);  // never self
-      EXPECT_LT(p->dst_endpoint, 10u);
-      EXPECT_EQ(p->length, 4u);
-    }
+  Cycle last = -1;
+  for (const Packet& p : packets) {
+    if (p.src_endpoint != 3) continue;
+    ++generated;
+    // Stamped with the cycle it was generated in; one attempt per cycle.
+    EXPECT_GT(p.gen_time, last);
+    EXPECT_LT(p.gen_time, 20000);
+    last = p.gen_time;
+    EXPECT_NE(p.dst_endpoint, 3u);  // never self
+    EXPECT_LT(p.dst_endpoint, 10u);
+    EXPECT_EQ(p.length, 4u);
   }
   // Packet rate = 0.5 / 4 = 0.125; expect ~2500 +- noise.
   EXPECT_NEAR(static_cast<double>(generated), 2500.0, 200.0);
 }
 
 TEST(Traffic, InvalidParamsRejected) {
-  EXPECT_THROW(hm::noc::UniformRandomTraffic(1, 0.5, 4),
-               std::invalid_argument);
-  EXPECT_THROW(hm::noc::UniformRandomTraffic(4, 1.5, 4),
-               std::invalid_argument);
-  EXPECT_THROW(hm::noc::UniformRandomTraffic(4, 0.5, 0),
-               std::invalid_argument);
+  EXPECT_THROW(SyntheticTraffic({}, 1, 0.5, 4), std::invalid_argument);
+  EXPECT_THROW(SyntheticTraffic({}, 4, 1.5, 4), std::invalid_argument);
+  EXPECT_THROW(SyntheticTraffic({}, 4, -0.1, 4), std::invalid_argument);
+  EXPECT_THROW(SyntheticTraffic({}, 4, 0.5, 0), std::invalid_argument);
 }
 
 TEST(Rng, DeterministicAndUniform) {

@@ -221,15 +221,17 @@ TEST(RingRouter, FlitConservationUnderSaturation) {
       hm::core::make_arrangement(hm::core::ArrangementType::kHexaMesh, 19);
   SimConfig cfg;
   Simulator sim(arr.graph(), cfg);
-  hm::noc::UniformRandomTraffic traffic(sim.network().num_endpoints(), 1.0,
-                                        cfg.packet_length);
-  hm::noc::Rng rng(7);
+  hm::noc::SyntheticTraffic traffic({}, sim.network().num_endpoints(), 1.0,
+                                    cfg.packet_length);
+  traffic.bind(7, 0);
+  std::vector<hm::noc::Packet> due;
   hm::noc::Cycle now = 0;
   std::string why;
   for (int c = 0; c < 3000; ++c) {
-    for (std::size_t e = 0; e < sim.network().num_endpoints(); ++e) {
-      auto p = traffic.maybe_generate(static_cast<std::uint16_t>(e), now, rng);
-      if (p.has_value()) (void)sim.network().offer_packet(e, *p);
+    due.clear();
+    traffic.generate_due(now, due);
+    for (const auto& p : due) {
+      (void)sim.network().offer_packet(p.src_endpoint, p);
     }
     sim.network().step(now);
     ++now;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "core/grid.hpp"
 #include "core/hexamesh.hpp"
@@ -11,26 +12,23 @@
 
 namespace {
 
-using hm::noc::Rng;
+using hm::noc::Cycle;
+using hm::noc::Packet;
 using hm::noc::SyntheticTraffic;
 using hm::noc::TrafficPattern;
 using hm::noc::TrafficSpec;
 
-TEST(SyntheticTraffic, UniformMatchesLegacyGenerator) {
-  // Same pattern, same RNG stream -> identical packets.
-  TrafficSpec spec;
-  SyntheticTraffic synth(spec, 12, 0.4, 4);
-  hm::noc::UniformRandomTraffic legacy(12, 0.4, 4);
-  Rng ra(5), rb(5);
-  for (hm::noc::Cycle t = 0; t < 5000; ++t) {
-    auto a = synth.maybe_generate(3, t, ra);
-    auto b = legacy.maybe_generate(3, t, rb);
-    ASSERT_EQ(a.has_value(), b.has_value()) << t;
-    if (a.has_value()) {
-      EXPECT_EQ(a->dst_endpoint, b->dst_endpoint);
-      EXPECT_EQ(a->length, b->length);
-    }
+/// Every packet `traffic`'s event stream makes over cycles [0, cycles),
+/// stepping from event to event the way skip-idle simulation does.
+std::vector<Packet> stream_packets(SyntheticTraffic& traffic, Cycle cycles,
+                                   std::uint64_t seed) {
+  traffic.bind(seed, 0);
+  std::vector<Packet> out;
+  for (Cycle t = traffic.next_event_cycle(); t < cycles;
+       t = traffic.next_event_cycle()) {
+    traffic.generate_due(t, out);
   }
+  return out;
 }
 
 TEST(SyntheticTraffic, HotspotFractionRespected) {
@@ -39,14 +37,11 @@ TEST(SyntheticTraffic, HotspotFractionRespected) {
   spec.hotspot_fraction = 0.5;
   spec.hotspots = {2};
   SyntheticTraffic traffic(spec, 16, 1.0, 1);
-  Rng rng(9);
   std::size_t total = 0, to_hotspot = 0;
-  for (hm::noc::Cycle t = 0; t < 20000; ++t) {
-    auto p = traffic.maybe_generate(7, t, rng);
-    if (p.has_value()) {
-      ++total;
-      if (p->dst_endpoint == 2) ++to_hotspot;
-    }
+  for (const Packet& p : stream_packets(traffic, 20000, 9)) {
+    if (p.src_endpoint != 7) continue;
+    ++total;
+    if (p.dst_endpoint == 2) ++to_hotspot;
   }
   ASSERT_GT(total, 10000u);
   // 50% targeted + ~1/15 of the uniform rest also hits endpoint 2.
@@ -59,13 +54,9 @@ TEST(SyntheticTraffic, HotspotDefaultsToEndpointZero) {
   spec.pattern = TrafficPattern::kHotspot;
   spec.hotspot_fraction = 1.0;
   SyntheticTraffic traffic(spec, 8, 1.0, 1);
-  Rng rng(1);
-  for (hm::noc::Cycle t = 0; t < 100; ++t) {
-    auto p = traffic.maybe_generate(5, t, rng);
-    if (p.has_value()) {
-      EXPECT_EQ(p->dst_endpoint, 0u);
-    }
-  }
+  const auto packets = stream_packets(traffic, 100, 1);
+  ASSERT_FALSE(packets.empty());
+  for (const Packet& p : packets) EXPECT_EQ(p.dst_endpoint, 0u);
 }
 
 TEST(SyntheticTraffic, HotspotSelfTrafficSuppressed) {
@@ -74,10 +65,13 @@ TEST(SyntheticTraffic, HotspotSelfTrafficSuppressed) {
   spec.hotspot_fraction = 1.0;
   spec.hotspots = {4};
   SyntheticTraffic traffic(spec, 8, 1.0, 1);
-  Rng rng(1);
-  for (hm::noc::Cycle t = 0; t < 200; ++t) {
-    // Source == hotspot: every draw maps to self and must be dropped.
-    EXPECT_FALSE(traffic.maybe_generate(4, t, rng).has_value());
+  const auto packets = stream_packets(traffic, 200, 1);
+  // At rate 1 every endpoint attempts every cycle; the hotspot's own
+  // attempts all map to itself and must be dropped.
+  EXPECT_EQ(packets.size(), 7u * 200u);
+  for (const Packet& p : packets) {
+    EXPECT_NE(p.src_endpoint, 4u);
+    EXPECT_EQ(p.dst_endpoint, 4u);
   }
 }
 
@@ -87,12 +81,10 @@ TEST(SyntheticTraffic, BitComplementIsDeterministic) {
   SyntheticTraffic traffic(spec, 10, 1.0, 1);
   EXPECT_EQ(traffic.permutation_target(0), 9u);
   EXPECT_EQ(traffic.permutation_target(3), 6u);
-  Rng rng(2);
-  for (hm::noc::Cycle t = 0; t < 100; ++t) {
-    auto p = traffic.maybe_generate(1, t, rng);
-    if (p.has_value()) {
-      EXPECT_EQ(p->dst_endpoint, 8u);
-    }
+  const auto packets = stream_packets(traffic, 100, 2);
+  ASSERT_FALSE(packets.empty());
+  for (const Packet& p : packets) {
+    EXPECT_EQ(p.dst_endpoint, 9u - p.src_endpoint);
   }
 }
 
