@@ -201,9 +201,7 @@ int main(int argc, char** argv) {
     }
 
     if (!csv_path.empty()) {
-      const bool json = csv_path.size() >= 5 &&
-                        csv_path.compare(csv_path.size() - 5, 5, ".json") == 0;
-      if (json && tcli.telemetry) {
+      if (tcli.telemetry && hm::explore::is_json_path(csv_path)) {
         // Opt-in richer export: the plain record array plus the current
         // telemetry snapshot. Plain exports stay byte-identical (goldens).
         std::ofstream os(csv_path);

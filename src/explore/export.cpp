@@ -1,6 +1,6 @@
 #include "explore/export.hpp"
 
-#include <charconv>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -10,13 +10,6 @@
 namespace hm::explore {
 
 namespace {
-
-/// Shortest round-trip decimal form of a double (exact, locale-free).
-std::string fmt(double v) {
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, ptr);
-}
 
 /// RFC-4180 quoting: wrap when the value contains a comma, quote or
 /// newline; double any embedded quotes.
@@ -70,44 +63,74 @@ bool any_faults(const std::vector<SweepRecord>& records) {
   return false;
 }
 
+/// The columns of one sweep record, the fault block only when `faults`.
+std::vector<Cell> cells(const SweepRecord& rec, bool faults) {
+  const auto& p = rec.point;
+  const auto& r = rec.result;
+  std::vector<Cell> row = {
+      num("index", p.index),
+      text("arrangement", arrangement_name(p)),
+      text("regularity", core::to_string(r.regularity)),
+      num("chiplets", p.chiplet_count),
+      num("param_set", p.param_index),
+      text("traffic", p.traffic.describe()),
+      num("seed", p.params.sim.seed),
+      num("diameter", r.diameter),
+      num("avg_hop_distance", r.avg_hop_distance),
+      num("bisection_links", r.bisection_links),
+      num("chiplet_area_mm2", r.chiplet_area_mm2),
+      num("link_area_mm2", r.link_area_mm2),
+      num("per_link_bandwidth_bps", r.per_link_bandwidth_bps),
+      num("full_global_bandwidth_bps", r.full_global_bandwidth_bps),
+      num("zero_load_latency_cycles", r.zero_load_latency_cycles),
+      flag("latency_run_drained", r.latency_run_drained),
+      num("saturation_fraction", r.saturation_fraction),
+      num("saturation_throughput_bps", r.saturation_throughput_bps)};
+  if (faults) {
+    row.insert(row.end(),
+               {text("fault_scenario", p.params.faults.describe()),
+                num("fault_plans_run", r.fault_plans_run),
+                num("fault_degraded_throughput",
+                    r.fault_degraded_throughput),
+                num("fault_robust_throughput_bps",
+                    r.fault_robust_throughput_bps),
+                num("fault_recovery_cycles", r.fault_recovery_cycles),
+                num("fault_packets_lost", r.fault_packets_lost)});
+  }
+  row.insert(row.end(), {flag("analytic_only", rec.analytic_only),
+                         text("error", rec.error)});
+  return row;
+}
+
+void write_records(std::ostream& os, const std::vector<SweepRecord>& records,
+                   bool json) {
+  const bool faults = any_faults(records);
+  write_rows(os, records, json,
+             [faults](const SweepRecord& rec) { return cells(rec, faults); });
+}
+
+std::ofstream open_or_throw(const std::string& path) {
+  std::ofstream os(path);
+  if (!os) {
+    throw std::runtime_error("export_file: cannot open " + path);
+  }
+  return os;
+}
+
 }  // namespace
 
+Cell flag(const char* name, bool v) {
+  return {name, v ? "1" : "0", v ? "true" : "false"};
+}
+
+Cell text(const char* name, const std::string& v) {
+  return {name, csv_escape(v), '"' + json_escape(v) + '"'};
+}
+
+bool is_json_path(const std::string& path) { return path.ends_with(".json"); }
+
 void write_csv(std::ostream& os, const std::vector<SweepRecord>& records) {
-  const bool faults = any_faults(records);
-  os << "index,arrangement,regularity,chiplets,param_set,traffic,seed,"
-        "diameter,avg_hop_distance,bisection_links,chiplet_area_mm2,"
-        "link_area_mm2,per_link_bandwidth_bps,full_global_bandwidth_bps,"
-        "zero_load_latency_cycles,latency_run_drained,saturation_fraction,"
-        "saturation_throughput_bps";
-  if (faults) {
-    os << ",fault_scenario,fault_plans_run,fault_degraded_throughput,"
-          "fault_robust_throughput_bps,fault_recovery_cycles,"
-          "fault_packets_lost";
-  }
-  os << ",analytic_only,error\n";
-  for (const auto& rec : records) {
-    const auto& p = rec.point;
-    const auto& r = rec.result;
-    os << p.index << ',' << csv_escape(arrangement_name(p)) << ','
-       << core::to_string(r.regularity) << ',' << p.chiplet_count << ','
-       << p.param_index << ',' << csv_escape(p.traffic.describe()) << ','
-       << p.params.sim.seed << ',' << r.diameter << ','
-       << fmt(r.avg_hop_distance) << ',' << r.bisection_links << ','
-       << fmt(r.chiplet_area_mm2) << ',' << fmt(r.link_area_mm2) << ','
-       << fmt(r.per_link_bandwidth_bps) << ','
-       << fmt(r.full_global_bandwidth_bps) << ','
-       << fmt(r.zero_load_latency_cycles) << ','
-       << (r.latency_run_drained ? 1 : 0) << ',' << fmt(r.saturation_fraction)
-       << ',' << fmt(r.saturation_throughput_bps);
-    if (faults) {
-      os << ',' << csv_escape(p.params.faults.describe()) << ','
-         << r.fault_plans_run << ',' << fmt(r.fault_degraded_throughput)
-         << ',' << fmt(r.fault_robust_throughput_bps) << ','
-         << r.fault_recovery_cycles << ',' << r.fault_packets_lost;
-    }
-    os << ',' << (rec.analytic_only ? 1 : 0) << ',' << csv_escape(rec.error)
-       << '\n';
-  }
+  write_records(os, records, false);
 }
 
 std::string to_csv(const std::vector<SweepRecord>& records) {
@@ -117,50 +140,7 @@ std::string to_csv(const std::vector<SweepRecord>& records) {
 }
 
 void write_json(std::ostream& os, const std::vector<SweepRecord>& records) {
-  const bool faults = any_faults(records);
-  os << "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& rec = records[i];
-    const auto& p = rec.point;
-    const auto& r = rec.result;
-    os << "  {\"index\": " << p.index
-       << ", \"arrangement\": \"" << json_escape(arrangement_name(p))
-       << "\", \"regularity\": \"" << json_escape(core::to_string(r.regularity))
-       << "\", \"chiplets\": " << p.chiplet_count
-       << ", \"param_set\": " << p.param_index
-       << ", \"traffic\": \"" << json_escape(p.traffic.describe())
-       << "\", \"seed\": " << p.params.sim.seed
-       << ", \"diameter\": " << r.diameter
-       << ", \"avg_hop_distance\": " << fmt(r.avg_hop_distance)
-       << ", \"bisection_links\": " << r.bisection_links
-       << ", \"chiplet_area_mm2\": " << fmt(r.chiplet_area_mm2)
-       << ", \"link_area_mm2\": " << fmt(r.link_area_mm2)
-       << ", \"per_link_bandwidth_bps\": " << fmt(r.per_link_bandwidth_bps)
-       << ", \"full_global_bandwidth_bps\": "
-       << fmt(r.full_global_bandwidth_bps)
-       << ", \"zero_load_latency_cycles\": "
-       << fmt(r.zero_load_latency_cycles)
-       << ", \"latency_run_drained\": "
-       << (r.latency_run_drained ? "true" : "false")
-       << ", \"saturation_fraction\": " << fmt(r.saturation_fraction)
-       << ", \"saturation_throughput_bps\": "
-       << fmt(r.saturation_throughput_bps);
-    if (faults) {
-      os << ", \"fault_scenario\": \""
-         << json_escape(p.params.faults.describe())
-         << "\", \"fault_plans_run\": " << r.fault_plans_run
-         << ", \"fault_degraded_throughput\": "
-         << fmt(r.fault_degraded_throughput)
-         << ", \"fault_robust_throughput_bps\": "
-         << fmt(r.fault_robust_throughput_bps)
-         << ", \"fault_recovery_cycles\": " << r.fault_recovery_cycles
-         << ", \"fault_packets_lost\": " << r.fault_packets_lost;
-    }
-    os << ", \"analytic_only\": " << (rec.analytic_only ? "true" : "false")
-       << ", \"error\": \"" << json_escape(rec.error) << "\"}"
-       << (i + 1 < records.size() ? ",\n" : "\n");
-  }
-  os << "]\n";
+  write_records(os, records, true);
 }
 
 std::string to_json(const std::vector<SweepRecord>& records) {
@@ -178,24 +158,6 @@ void write_json_with_telemetry(std::ostream& os,
   os << "\n}\n";
 }
 
-std::string to_json_with_telemetry(const std::vector<SweepRecord>& records) {
-  std::ostringstream os;
-  write_json_with_telemetry(os, records);
-  return os.str();
-}
-
-namespace {
-
-std::ofstream open_or_throw(const std::string& path) {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("export_file: cannot open " + path);
-  }
-  return os;
-}
-
-}  // namespace
-
 void write_csv_file(const std::string& path,
                     const std::vector<SweepRecord>& records) {
   auto os = open_or_throw(path);
@@ -210,11 +172,8 @@ void write_json_file(const std::string& path,
 
 void export_file(const std::string& path,
                  const std::vector<SweepRecord>& records) {
-  if (path.size() >= 5 && path.substr(path.size() - 5) == ".json") {
-    write_json_file(path, records);
-  } else {
-    write_csv_file(path, records);
-  }
+  auto os = open_or_throw(path);
+  write_records(os, records, is_json_path(path));
 }
 
 }  // namespace hm::explore

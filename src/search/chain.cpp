@@ -1,6 +1,5 @@
 #include "search/chain.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <functional>
@@ -10,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "explore/export.hpp"
 #include "explore/hash.hpp"
 #include "noc/rng.hpp"
 #include "noc/routing.hpp"
@@ -192,34 +192,16 @@ void record_state(ChainStep& row, const ChainState& chain,
 
 // --- Trace exports of both engines -------------------------------------------
 //
-// Deterministic fields only, doubles in shortest round-trip form (exact,
-// locale-free — the sweep exports' contract), so traces compare byte for
-// byte across thread counts.
+// Deterministic fields only, through the sweep exports' row writer
+// (explore/export.hpp), so traces compare byte for byte across thread
+// counts.
 
 namespace {
 
-/// One column of one trace row: its name and its CSV and JSON spellings.
-struct Cell {
-  const char* name;
-  std::string csv;
-  std::string json;
-};
-
-template <typename T>
-Cell num(const char* name, T v) {
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  std::string s(buf, ptr);
-  return {name, s, s};
-}
-
-Cell flag(const char* name, bool v) {
-  return {name, v ? "1" : "0", v ? "true" : "false"};
-}
-
-Cell text(const char* name, const std::string& v) {
-  return {name, v, '"' + v + '"'};
-}
+using explore::Cell;
+using explore::flag;
+using explore::num;
+using explore::text;
 
 std::vector<Cell> cells(const SearchStep& s) {
   return {num("step", s.step),
@@ -253,48 +235,10 @@ std::vector<Cell> cells(const TemperingStep& s) {
           num("edge_count", s.edge_count)};
 }
 
-/// CSV: a header line (column names of a default row, so an empty trace
-/// still has one), then one line per row.
-template <typename Step>
-void write_csv(std::ostream& os, const std::vector<Step>& trace) {
-  const char* sep = "";
-  for (const Cell& c : cells(Step{})) {
-    os << sep << c.name;
-    sep = ",";
-  }
-  os << '\n';
-  for (const Step& s : trace) {
-    sep = "";
-    for (const Cell& c : cells(s)) {
-      os << sep << c.csv;
-      sep = ",";
-    }
-    os << '\n';
-  }
-}
-
-/// JSON: an array with one object per row, one row per line.
-template <typename Step>
-void write_json(std::ostream& os, const std::vector<Step>& trace) {
-  os << "[\n";
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const char* sep = "  {";
-    for (const Cell& c : cells(trace[i])) {
-      os << sep << '"' << c.name << "\": " << c.json;
-      sep = ", ";
-    }
-    os << (i + 1 < trace.size() ? "},\n" : "}\n");
-  }
-  os << "]\n";
-}
-
 template <typename Step>
 void write(std::ostream& os, const std::vector<Step>& trace, bool json) {
-  if (json) {
-    write_json(os, trace);
-  } else {
-    write_csv(os, trace);
-  }
+  explore::write_rows(os, trace, json,
+                      [](const Step& s) { return cells(s); });
 }
 
 template <typename Step>
@@ -310,17 +254,11 @@ void export_file(const std::string& path, const std::vector<Step>& trace) {
   if (!os) {
     throw std::runtime_error("export_trace_file: cannot open " + path);
   }
-  write(os, trace, path.ends_with(".json"));
+  write(os, trace, explore::is_json_path(path));
 }
 
 }  // namespace
 
-void write_trace_csv(std::ostream& os, const std::vector<SearchStep>& trace) {
-  write_csv(os, trace);
-}
-void write_trace_json(std::ostream& os, const std::vector<SearchStep>& trace) {
-  write_json(os, trace);
-}
 std::string trace_to_csv(const std::vector<SearchStep>& trace) {
   return to_text(trace, false);
 }
@@ -332,14 +270,6 @@ void export_trace_file(const std::string& path,
   export_file(path, trace);
 }
 
-void write_trace_csv(std::ostream& os,
-                     const std::vector<TemperingStep>& trace) {
-  write_csv(os, trace);
-}
-void write_trace_json(std::ostream& os,
-                      const std::vector<TemperingStep>& trace) {
-  write_json(os, trace);
-}
 std::string trace_to_csv(const std::vector<TemperingStep>& trace) {
   return to_text(trace, false);
 }

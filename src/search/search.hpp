@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -78,13 +77,11 @@ class SearchEngine {
   detail::Chain core_;  ///< holds a reference to options_
 };
 
-/// Trace serialization (with the chain core, in search/chain.cpp),
-/// mirroring explore/export.hpp: deterministic fields only,
+/// Trace serialization (with the chain core, in search/chain.cpp), on
+/// explore/export.hpp's row writer: deterministic fields only,
 /// shortest-round-trip doubles, so traces compare byte-for-byte across
 /// thread counts.
-void write_trace_csv(std::ostream& os, const std::vector<SearchStep>& trace);
 [[nodiscard]] std::string trace_to_csv(const std::vector<SearchStep>& trace);
-void write_trace_json(std::ostream& os, const std::vector<SearchStep>& trace);
 [[nodiscard]] std::string trace_to_json(const std::vector<SearchStep>& trace);
 
 /// Writes the trace to `path`: ".json" gets JSON, everything else CSV.

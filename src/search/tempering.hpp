@@ -35,7 +35,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -126,10 +125,7 @@ class TemperingEngine {
 /// Trace serialization (with the chain core, in search/chain.cpp),
 /// mirroring search/search.hpp: deterministic fields only,
 /// shortest-round-trip doubles.
-void write_trace_csv(std::ostream& os, const std::vector<TemperingStep>& trace);
 [[nodiscard]] std::string trace_to_csv(const std::vector<TemperingStep>& trace);
-void write_trace_json(std::ostream& os,
-                      const std::vector<TemperingStep>& trace);
 [[nodiscard]] std::string trace_to_json(
     const std::vector<TemperingStep>& trace);
 
