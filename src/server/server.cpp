@@ -30,6 +30,13 @@ namespace hm::server {
 
 namespace {
 
+/// Largest fan-out batch the dispatcher collects per round.
+constexpr std::size_t kMaxBatch = 16;
+/// Request size caps, protecting the pool from absurd work items.
+constexpr std::uint64_t kMaxChiplets = 100000;
+constexpr std::uint64_t kMaxSearchSteps = 100000;
+constexpr std::size_t kMaxSweepPoints = 4096;
+
 telemetry::Counter& requests_counter() {
   static telemetry::Counter c("server.requests");
   return c;
@@ -330,7 +337,7 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
 
 void Server::dispatch_loop() {
   while (true) {
-    auto batch = queue_.pop_batch(options_.max_batch);
+    auto batch = queue_.pop_batch(kMaxBatch);
     if (batch.empty()) break;  // queue closed and drained
     batches_.fetch_add(1);
 
@@ -369,7 +376,7 @@ void Server::handle_evaluate(const PendingRequest& req, Status* status,
                              std::vector<std::uint8_t>* body) {
   const auto parsed =
       decode_evaluate_request(req.payload.data(), req.payload.size());
-  if (!parsed || parsed->chiplet_count > options_.max_chiplets) {
+  if (!parsed || parsed->chiplet_count > kMaxChiplets) {
     *status = Status::kBadRequest;
     *body = message_body("bad evaluate request");
     return;
@@ -401,14 +408,14 @@ void Server::handle_sweep(const PendingRequest& req, Status* status,
     return;
   }
   for (const auto n : parsed->chiplet_counts) {
-    if (n > options_.max_chiplets) {
+    if (n > kMaxChiplets) {
       *status = Status::kBadRequest;
       *body = message_body("sweep chiplet count over limit");
       return;
     }
   }
   if (parsed->types.size() * parsed->chiplet_counts.size() >
-      options_.max_sweep_points) {
+      kMaxSweepPoints) {
     *status = Status::kBadRequest;
     *body = message_body("sweep too large");
     return;
@@ -441,8 +448,8 @@ void Server::handle_search(const PendingRequest& req, Status* status,
                            std::vector<std::uint8_t>* body) {
   const auto parsed =
       decode_search_request(req.payload.data(), req.payload.size());
-  if (!parsed || parsed->chiplet_count > options_.max_chiplets ||
-      parsed->steps > options_.max_search_steps) {
+  if (!parsed || parsed->chiplet_count > kMaxChiplets ||
+      parsed->steps > kMaxSearchSteps) {
     *status = Status::kBadRequest;
     *body = message_body("bad search request");
     return;

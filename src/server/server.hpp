@@ -61,12 +61,6 @@ struct ServerOptions {
   /// Admission control (see server/queue.hpp).
   std::size_t max_pending = 64;
   std::size_t max_pending_per_client = 8;
-  /// Largest fan-out batch the dispatcher collects per round.
-  std::size_t max_batch = 16;
-  /// Request size caps, protecting the pool from absurd work items.
-  std::uint64_t max_chiplets = 100000;
-  std::uint64_t max_search_steps = 100000;
-  std::size_t max_sweep_points = 4096;
   /// Base evaluation pipeline configuration; evaluate requests override
   /// the seed and the measurement-selection flags per request.
   core::EvaluationParams params;
