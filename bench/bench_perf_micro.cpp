@@ -115,9 +115,9 @@ void bench_tables() {
 void bench_simulator_cycles() {
   // Cycle rate of a saturated HexaMesh network (routers + endpoints), fed
   // from the traffic event stream the way Simulator::tick feeds it. Under
-  // saturation nearly everything is busy, so this measures the worklist
-  // machinery's overhead rather than its skipping wins (those show up in
-  // bench_simulator_lowload).
+  // saturation nearly everything is busy, so this measures the active-set
+  // machinery's overhead (worklists and delivery calendar) rather than its
+  // skipping wins (those show up in bench_simulator_lowload).
   for (const std::size_t n :
        {std::size_t{19}, std::size_t{91}, std::size_t{271}}) {
     const auto arr = make_arrangement(ArrangementType::kHexaMesh, n);
@@ -156,8 +156,17 @@ void bench_simulator_lowload() {
   // endpoints), which keeps ~30% of routers busy and measures mostly the
   // shared busy-path cost. 0.002 flits/cycle/endpoint is the regime the
   // active-set stepping is for — almost every component idle almost every
-  // cycle.
-  for (const std::size_t n : {std::size_t{91}, std::size_t{271}}) {
+  // cycle. N = 37 at the default 0.01 is the zero-load run of every
+  // latency-objective search step (perfbench's search-latency): a few
+  // routers busy, a few dozen flits and credits in flight, so it tracks
+  // the delivery calendar's cost per delivered payload.
+  struct LowLoad {
+    std::size_t n;
+    double rate;
+  };
+  for (const LowLoad point : {LowLoad{37, 0.01}, LowLoad{91, 0.002},
+                              LowLoad{271, 0.002}}) {
+    const std::size_t n = point.n;
     const auto arr = make_arrangement(ArrangementType::kHexaMesh, n);
     const auto topo = hm::noc::TopologyContext::acquire(arr.graph());
     const hm::noc::Cycle warmup = g_smoke ? 300 : 1000;
@@ -171,7 +180,7 @@ void bench_simulator_lowload() {
       double cycles = 1.0;
       auto run = [&] {
         hm::noc::Simulator sim(topo, cfg);
-        (void)sim.run_latency(0.002, warmup, measure, 60000);
+        (void)sim.run_latency(point.rate, warmup, measure, 60000);
         cycles = static_cast<double>(sim.now());
       };
       const double per_run =

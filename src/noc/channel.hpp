@@ -3,7 +3,9 @@
 // sender schedules at (now + constant latency), so a FIFO ring suffices; the
 // in-flight count is bounded by the link latency (one push per cycle, and
 // everything older than `latency` cycles has already been delivered), which
-// lets Network pre-size every channel for allocation-free steady state.
+// lets Network pre-size every channel for allocation-free steady state. One
+// push per cycle also means at most one arrival per channel per cycle, which
+// bounds a bucket of Network's delivery calendar.
 #pragma once
 
 #include <cassert>
@@ -40,6 +42,13 @@ class TimedRing {
   template <typename Fn>
   void for_each(Fn fn) const {
     for (std::size_t i = 0; i < q_.size(); ++i) fn(q_[i].v);
+  }
+
+  /// Visits the arrival cycle of every in-flight payload in FIFO order
+  /// (Network's delivery-calendar rebuild and exactness check).
+  template <typename Fn>
+  void for_each_arrival(Fn fn) const {
+    for (std::size_t i = 0; i < q_.size(); ++i) fn(q_[i].at);
   }
 
   /// Removes every in-flight payload for which `pred(payload)` is true,

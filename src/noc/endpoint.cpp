@@ -42,8 +42,8 @@ void Endpoint::receive_credit(int vc) {
   assert(credits_[vc] <= cfg_.buffer_depth);
 }
 
-void Endpoint::inject(Cycle now) {
-  if (queue_.empty() || inj_channel_ == nullptr) return;
+bool Endpoint::inject(Cycle now) {
+  if (queue_.empty() || inj_channel_ == nullptr) return false;
 
   // Pick a VC for a fresh packet (round-robin among VCs with credit).
   if (active_vc_ < 0) {
@@ -56,10 +56,10 @@ void Endpoint::inject(Cycle now) {
         break;
       }
     }
-    if (active_vc_ < 0) return;  // all VCs back-pressured
+    if (active_vc_ < 0) return false;  // all VCs back-pressured
   }
 
-  if (credits_[active_vc_] <= 0) return;  // stall mid-packet
+  if (credits_[active_vc_] <= 0) return false;  // stall mid-packet
 
   const Packet& p = queue_.front();
   Flit f;
@@ -79,6 +79,7 @@ void Endpoint::inject(Cycle now) {
     active_vc_ = -1;
     next_flit_ = 0;
   }
+  return true;
 }
 
 bool Endpoint::receive_flit(const Flit& f, Cycle now) {

@@ -49,8 +49,9 @@ class Endpoint {
   /// Delivers an injection credit for router-input VC `vc`.
   void receive_credit(int vc);
 
-  /// Sends at most one flit of the packet currently being serialized.
-  void inject(Cycle now);
+  /// Sends at most one flit of the packet currently being serialized;
+  /// true when a flit went onto the injection channel.
+  bool inject(Cycle now);
 
   /// Sink: consumes an ejected flit (infinite acceptance). Returns true
   /// when the flit completed a packet generated inside the measurement

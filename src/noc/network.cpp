@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -36,11 +37,11 @@ Network::Network(std::shared_ptr<const TopologyContext> topo,
   // push per cycle; older entries have been delivered), so pre-size to that.
   const auto directed = topo_->directed_links();
   links_.resize(directed.size());
-  out_flit_target_.resize(n);
-  in_credit_target_.resize(n);
+  out_flit_entry_.resize(n);
+  in_credit_entry_.resize(n);
   for (graph::NodeId r = 0; r < n; ++r) {
-    out_flit_target_[r].assign(routers_[r].total_ports(), 0xFFFFFFFFu);
-    in_credit_target_[r].assign(routers_[r].total_ports(), 0xFFFFFFFFu);
+    out_flit_entry_[r].assign(routers_[r].total_ports(), 0xFFFFFFFFu);
+    in_credit_entry_[r].assign(routers_[r].total_ports(), 0xFFFFFFFFu);
   }
   for (std::size_t i = 0; i < directed.size(); ++i) {
     const auto& d = directed[i];
@@ -55,12 +56,10 @@ Network::Network(std::shared_ptr<const TopologyContext> topo,
                                     cfg_.link_latency);
     routers_[link.to].wire_credit_return(link.in_port_at_to, &link.credits,
                                          cfg_.link_latency);
-    // A step of either end can (re-)fill this link: `from` pushes flits,
-    // `to` pushes credit returns.
-    out_flit_target_[link.from][link.out_port_at_from] =
-        static_cast<std::uint32_t>(i);
-    in_credit_target_[link.to][link.in_port_at_to] =
-        static_cast<std::uint32_t>(i);
+    // A step of either end can push into this link: `from` sends flits,
+    // `to` returns credits.
+    out_flit_entry_[link.from][link.out_port_at_from] = chan_entry(kLinkFlit, i);
+    in_credit_entry_[link.to][link.in_port_at_to] = chan_entry(kLinkCredit, i);
   }
 
   // Endpoints and their injection/ejection channels.
@@ -85,20 +84,32 @@ Network::Network(std::shared_ptr<const TopologyContext> topo,
                                         cfg_.injection_link_latency);
     routers_[router].wire_output(port, &chans.ejection,
                                  cfg_.ejection_link_latency);
-    out_flit_target_[router][port] = kChanBit | static_cast<std::uint32_t>(e);
-    in_credit_target_[router][port] = kChanBit | static_cast<std::uint32_t>(e);
+    out_flit_entry_[router][port] = chan_entry(kEjFlit, e);
+    in_credit_entry_[router][port] = chan_entry(kInjCredit, e);
   }
 
   // Worklist storage: membership flags plus capacity for the worst case
   // (every component active) so arming never allocates mid-run.
-  link_active_.assign(links_.size(), 0);
-  chan_active_.assign(ep_channels_.size(), 0);
   router_active_.assign(routers_.size(), 0);
   ep_active_.assign(endpoints_.size(), 0);
-  active_links_.reserve(links_.size());
-  active_chans_.reserve(ep_channels_.size());
   active_routers_.reserve(routers_.size());
   active_eps_.reserve(endpoints_.size());
+
+  // Calendar storage for the worst case: every channel delivering in the
+  // same cycle, in every bucket.
+  kind_latency_[kLinkFlit] = cfg_.link_latency;
+  kind_latency_[kLinkCredit] = cfg_.link_latency;
+  kind_latency_[kInjFlit] = cfg_.injection_link_latency;
+  kind_latency_[kInjCredit] = cfg_.injection_link_latency;
+  kind_latency_[kEjFlit] = cfg_.ejection_link_latency;
+  const Cycle max_latency =
+      *std::max_element(kind_latency_.begin(), kind_latency_.end());
+  const std::size_t buckets =
+      std::bit_ceil(static_cast<std::size_t>(max_latency) + 1);
+  cal_mask_ = buckets - 1;
+  cal_width_ = 2 * links_.size() + 3 * ep_channels_.size();
+  cal_slots_.assign(buckets * cal_width_, 0);
+  cal_count_.assign(buckets, 0);
 }
 
 bool Network::offer_packet(std::size_t e, const Packet& p) {
@@ -170,76 +181,20 @@ void Network::step_active(Cycle now) {
   // components that can make progress are visited. Correctness rests on two
   // facts pinned by test_active_set: (a) a step / delivery sweep of an idle
   // component is an observable no-op (idle routers draw no RNG and mutate
-  // nothing; empty channels deliver nothing; endpoints with empty queues
-  // inject nothing), and (b) within a phase, operations on distinct
-  // components commute (each delivery/step touches disjoint state), so the
-  // worklist order standing in for index order cannot change the outcome.
-  const std::size_t eps = static_cast<std::size_t>(cfg_.endpoints_per_chiplet);
+  // nothing; channels with nothing due deliver nothing; endpoints with
+  // empty queues inject nothing), and (b) within a phase, operations on
+  // distinct components commute (each delivery/step touches disjoint state,
+  // and deliveries into one router or endpoint only add to per-port buffers
+  // and counters), so the calendar and worklist orders standing in for
+  // index order cannot change the outcome.
 
-  // 1a. Deliver link arrivals; drop drained links from the worklist.
-  for (std::size_t i = 0; i < active_links_.size();) {
-    const std::uint32_t li = active_links_[i];
-    RouterLink& link = links_[li];
-    while (link.flits.ready(now)) {
-      routers_[link.to].receive_flit(link.in_port_at_to, link.flits.pop(),
-                                     now);
-      arm(active_routers_, router_active_, link.to);
-    }
-    while (link.credits.ready(now)) {
-      // Credits top up output-VC counters but cannot start progress on
-      // their own: any flit waiting for them is buffered downstream-side,
-      // which already keeps its router on the worklist.
-      routers_[link.from].receive_credit(link.out_port_at_from,
-                                         link.credits.pop());
-    }
-    if (link.flits.in_flight() == 0 && link.credits.in_flight() == 0) {
-      link_active_[li] = 0;
-      active_links_[i] = active_links_.back();
-      active_links_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-
-  // 1b. Deliver endpoint-channel arrivals.
-  for (std::size_t i = 0; i < active_chans_.size();) {
-    const std::uint32_t e = active_chans_[i];
-    EndpointChannels& chans = ep_channels_[e];
-    const std::size_t router = e / eps;
-    const std::size_t port = routers_[router].network_ports() + e % eps;
-    while (chans.injection.ready(now)) {
-      routers_[router].receive_flit(port, chans.injection.pop(), now);
-      arm(active_routers_, router_active_, router);
-    }
-    while (chans.inj_credits.ready(now)) {
-      // An endpoint with queued packets is already on the worklist; one
-      // with an empty queue has no use for the credit until new traffic
-      // arrives (offer_packet arms it then).
-      endpoints_[e].receive_credit(chans.inj_credits.pop());
-    }
-    while (chans.ejection.ready(now)) {
-      if (endpoints_[e].receive_flit(chans.ejection.pop(), now)) {
-        ++tagged_delivered_;
-      }
-    }
-    if (chans.injection.in_flight() == 0 &&
-        chans.inj_credits.in_flight() == 0 &&
-        chans.ejection.in_flight() == 0) {
-      chan_active_[e] = 0;
-      active_chans_[i] = active_chans_.back();
-      active_chans_.pop_back();
-    } else {
-      ++i;
-    }
-  }
+  // 1. Deliver this cycle's arrivals.
+  deliver_due(now);
 
   // 2. Endpoints with queued packets inject; drop drained queues.
   for (std::size_t i = 0; i < active_eps_.size();) {
     const std::uint32_t e = active_eps_[i];
-    endpoints_[e].inject(now);
-    if (ep_channels_[e].injection.in_flight() > 0) {
-      arm(active_chans_, chan_active_, e);
-    }
+    if (endpoints_[e].inject(now)) schedule_push(chan_entry(kInjFlit, e), now);
     if (endpoints_[e].queue_length() == 0) {
       ep_active_[e] = 0;
       active_eps_[i] = active_eps_.back();
@@ -249,7 +204,7 @@ void Network::step_active(Cycle now) {
     }
   }
 
-  // 3. Routers with buffered flits advance; arm whatever they pushed into,
+  // 3. Routers with buffered flits advance; schedule what they pushed,
   // drop the ones that drained.
   router_steps_ += active_routers_.size();
   if (active_routers_.size() > active_router_hwm_) {
@@ -258,30 +213,13 @@ void Network::step_active(Cycle now) {
   for (std::size_t i = 0; i < active_routers_.size();) {
     const std::uint32_t r = active_routers_[i];
     routers_[r].step(now);
-    // Arm exactly what this step pushed: the SA scratch records which out
-    // ports sent a flit and which in ports granted (and so returned a
-    // credit); the target tables map those ports straight to worklist
-    // entries. Channels still carrying older traffic are already armed —
-    // a channel only leaves its worklist when fully drained.
-    const std::vector<char>& outs = routers_[r].out_ports_pushed();
-    const std::vector<char>& ins = routers_[r].in_ports_granted();
-    for (std::size_t p = 0; p < outs.size(); ++p) {
-      if (outs[p] != 0) {
-        const std::uint32_t t = out_flit_target_[r][p];
-        if ((t & kChanBit) != 0) {
-          arm(active_chans_, chan_active_, t & ~kChanBit);
-        } else {
-          arm(active_links_, link_active_, t);
-        }
-      }
-      if (ins[p] != 0) {
-        const std::uint32_t t = in_credit_target_[r][p];
-        if ((t & kChanBit) != 0) {
-          arm(active_chans_, chan_active_, t & ~kChanBit);
-        } else {
-          arm(active_links_, link_active_, t);
-        }
-      }
+    // Each grant pushed one flit into its output port's channel and, when
+    // the input port still has a credit channel, one credit upstream.
+    const std::vector<std::uint32_t>& outs = out_flit_entry_[r];
+    const std::vector<std::uint32_t>& ins = in_credit_entry_[r];
+    for (const Router::Grant& g : routers_[r].grants()) {
+      schedule_push(outs[g.out_port], now);
+      if (g.credit) schedule_push(ins[g.in_port], now);
     }
     if (routers_[r].buffered_flit_count() == 0) {
       router_active_[r] = 0;
@@ -293,12 +231,77 @@ void Network::step_active(Cycle now) {
   }
 }
 
+// HM_HOT: per-cycle simulation path — no allocation, no throw.
+void Network::deliver_due(Cycle now) {
+  // Stepped every cycle this is the one bucket for `now`. After a gap the
+  // skipped cycles' buckets go first, oldest first; one lap of the wheel
+  // covers every pending arrival.
+  const Cycle last = std::min(now, cal_next_ + static_cast<Cycle>(cal_mask_));
+  const std::size_t eps = static_cast<std::size_t>(cfg_.endpoints_per_chiplet);
+  for (Cycle c = cal_next_; c <= last && cal_pending_ != 0; ++c) {
+    const std::size_t b = static_cast<std::size_t>(c) & cal_mask_;
+    const std::uint32_t* slots = &cal_slots_[b * cal_width_];
+    const std::uint32_t count = cal_count_[b];
+    for (std::uint32_t k = 0; k < count; ++k) {
+      // One entry is one payload, at the front of its channel: everything
+      // the channel carried before it arrived in an earlier bucket.
+      const std::uint32_t entry = slots[k];
+      const std::size_t i = entry & kIndexMask;
+      switch (entry >> kKindShift) {
+        case kLinkFlit: {
+          RouterLink& link = links_[i];
+          assert(link.flits.ready(now));
+          routers_[link.to].receive_flit(link.in_port_at_to, link.flits.pop(),
+                                         now);
+          arm(active_routers_, router_active_, link.to);
+          break;
+        }
+        case kLinkCredit: {
+          // Credits top up output-VC counters but cannot start progress on
+          // their own: any flit waiting for them is buffered downstream-side,
+          // which already keeps its router on the worklist.
+          RouterLink& link = links_[i];
+          assert(link.credits.ready(now));
+          routers_[link.from].receive_credit(link.out_port_at_from,
+                                             link.credits.pop());
+          break;
+        }
+        case kInjFlit: {
+          const std::size_t router = i / eps;
+          assert(ep_channels_[i].injection.ready(now));
+          routers_[router].receive_flit(
+              routers_[router].network_ports() + i % eps,
+              ep_channels_[i].injection.pop(), now);
+          arm(active_routers_, router_active_, router);
+          break;
+        }
+        case kInjCredit:
+          // An endpoint with queued packets is already on the worklist; one
+          // with an empty queue has no use for the credit until new traffic
+          // arrives (offer_packet arms it then).
+          assert(ep_channels_[i].inj_credits.ready(now));
+          endpoints_[i].receive_credit(ep_channels_[i].inj_credits.pop());
+          break;
+        default:  // kEjFlit
+          assert(ep_channels_[i].ejection.ready(now));
+          if (endpoints_[i].receive_flit(ep_channels_[i].ejection.pop(), now)) {
+            ++tagged_delivered_;
+          }
+          break;
+      }
+    }
+    cal_pending_ -= count;
+    cal_count_[b] = 0;
+  }
+  cal_next_ = now + 1;
+}
+
 bool Network::quiescent() const {
   if (cfg_.skip_idle) {
-    // The worklists are exact between steps: empty lists == nothing
-    // buffered, queued or in flight anywhere.
-    return active_links_.empty() && active_chans_.empty() &&
-           active_routers_.empty() && active_eps_.empty();
+    // The worklists and the calendar are exact between steps: all empty ==
+    // nothing buffered, queued or in flight anywhere.
+    return cal_pending_ == 0 && active_routers_.empty() &&
+           active_eps_.empty();
   }
   for (const auto& r : routers_) {
     if (r.buffered_flit_count() != 0) return false;
@@ -361,14 +364,13 @@ void Network::reset() {
   for (auto& r : routers_) r.reset();
   for (auto& ep : endpoints_) ep.reset();
   packets_.clear();
-  active_links_.clear();
-  active_chans_.clear();
   active_routers_.clear();
   active_eps_.clear();
-  std::fill(link_active_.begin(), link_active_.end(), 0);
-  std::fill(chan_active_.begin(), chan_active_.end(), 0);
   std::fill(router_active_.begin(), router_active_.end(), 0);
   std::fill(ep_active_.begin(), ep_active_.end(), 0);
+  std::fill(cal_count_.begin(), cal_count_.end(), 0);
+  cal_pending_ = 0;
+  cal_next_ = 0;
   tagged_delivered_ = 0;
   active_router_hwm_ = 0;
   router_steps_ = 0;
@@ -510,15 +512,15 @@ Network::FaultOutcome Network::fault_transition(
       return !online_r || is_dead_port(r, p);
     };
     const auto refund = [&](std::size_t in_port, int vc) {
-      const std::uint32_t t = in_credit_target_[r][in_port];
-      if ((t & kChanBit) != 0) {
-        const std::size_t e = t & ~kChanBit;
+      const std::uint32_t entry = in_credit_entry_[r][in_port];
+      if ((entry >> kKindShift) == kInjCredit) {
+        const std::size_t e = entry & kIndexMask;
         if (router_online[e / eps] != 0) {
           endpoints_[e].fault_refund_credit(vc);
         }
         return;
       }
-      const RouterLink& up = links_[t];
+      const RouterLink& up = links_[entry & kIndexMask];
       if (router_online[up.from] != 0 &&
           !is_dead_port(up.from, up.out_port_at_from)) {
         routers_[up.from].fault_refund_credit(up.out_port_at_from, vc);
@@ -589,8 +591,9 @@ Network::FaultOutcome Network::fault_transition(
 
   // 10. The worklists may now both overstate (drained components) and
   // understate (revoked heads whose router drained its channels) the
-  // active set; re-derive them exactly, in ascending index order.
-  if (cfg_.skip_idle) rebuild_worklists();
+  // active set, and the calendar still names excised payloads; re-derive
+  // them exactly from what is left.
+  if (cfg_.skip_idle) rebuild_active_set();
   return out;
 }
 
@@ -606,28 +609,27 @@ void Network::set_degraded_routing(const DegradedRouting* dr) {
   }
 }
 
-void Network::rebuild_worklists() {
-  active_links_.clear();
-  active_chans_.clear();
-  active_routers_.clear();
-  active_eps_.clear();
-  std::fill(link_active_.begin(), link_active_.end(), 0);
-  std::fill(chan_active_.begin(), chan_active_.end(), 0);
-  std::fill(router_active_.begin(), router_active_.end(), 0);
-  std::fill(ep_active_.begin(), ep_active_.end(), 0);
+template <typename Fn>
+void Network::for_each_in_flight(Fn fn) const {
+  const auto visit = [&](const auto& channel, std::uint32_t entry) {
+    channel.for_each_arrival([&](Cycle at) { fn(entry, at); });
+  };
   for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (links_[i].flits.in_flight() != 0 ||
-        links_[i].credits.in_flight() != 0) {
-      arm(active_links_, link_active_, i);
-    }
+    visit(links_[i].flits, chan_entry(kLinkFlit, i));
+    visit(links_[i].credits, chan_entry(kLinkCredit, i));
   }
   for (std::size_t e = 0; e < ep_channels_.size(); ++e) {
-    if (ep_channels_[e].injection.in_flight() != 0 ||
-        ep_channels_[e].inj_credits.in_flight() != 0 ||
-        ep_channels_[e].ejection.in_flight() != 0) {
-      arm(active_chans_, chan_active_, e);
-    }
+    visit(ep_channels_[e].injection, chan_entry(kInjFlit, e));
+    visit(ep_channels_[e].inj_credits, chan_entry(kInjCredit, e));
+    visit(ep_channels_[e].ejection, chan_entry(kEjFlit, e));
   }
+}
+
+void Network::rebuild_active_set() {
+  active_routers_.clear();
+  active_eps_.clear();
+  std::fill(router_active_.begin(), router_active_.end(), 0);
+  std::fill(ep_active_.begin(), ep_active_.end(), 0);
   for (std::size_t r = 0; r < routers_.size(); ++r) {
     if (routers_[r].buffered_flit_count() > 0) {
       arm(active_routers_, router_active_, r);
@@ -636,6 +638,11 @@ void Network::rebuild_worklists() {
   for (std::size_t e = 0; e < endpoints_.size(); ++e) {
     if (endpoints_[e].queue_length() > 0) arm(active_eps_, ep_active_, e);
   }
+  std::fill(cal_count_.begin(), cal_count_.end(), 0);
+  cal_pending_ = 0;
+  for_each_in_flight([&](std::uint32_t entry, Cycle at) {
+    schedule(entry, at);
+  });
 }
 
 std::size_t Network::flits_in_network() const {
@@ -706,21 +713,28 @@ bool Network::invariants_ok(std::string* why) const {
         return fail("active-set router flag out of sync");
       }
     }
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      const bool busy = links_[i].flits.in_flight() != 0 ||
-                        links_[i].credits.in_flight() != 0;
-      if (busy != (link_active_[i] != 0)) {
-        return fail("active-set link flag out of sync");
-      }
+    // Calendar exactness: every in-flight payload has exactly one entry,
+    // filed in the bucket of its arrival cycle, and none is overdue or
+    // beyond one lap of the wheel.
+    std::vector<std::vector<std::uint32_t>> expected(cal_count_.size());
+    bool in_lap = true;
+    for_each_in_flight([&](std::uint32_t entry, Cycle at) {
+      in_lap = in_lap && at >= cal_next_ &&
+               at - cal_next_ <= static_cast<Cycle>(cal_mask_);
+      expected[static_cast<std::size_t>(at) & cal_mask_].push_back(entry);
+    });
+    if (!in_lap) return fail("calendar arrival outside the wheel's lap");
+    std::size_t filed = 0;
+    for (std::size_t b = 0; b < cal_count_.size(); ++b) {
+      const auto first =
+          cal_slots_.begin() + static_cast<std::ptrdiff_t>(b * cal_width_);
+      std::vector<std::uint32_t> got(first, first + cal_count_[b]);
+      std::sort(got.begin(), got.end());
+      std::sort(expected[b].begin(), expected[b].end());
+      if (got != expected[b]) return fail("calendar bucket out of sync");
+      filed += got.size();
     }
-    for (std::size_t e = 0; e < ep_channels_.size(); ++e) {
-      const bool busy = ep_channels_[e].injection.in_flight() != 0 ||
-                        ep_channels_[e].inj_credits.in_flight() != 0 ||
-                        ep_channels_[e].ejection.in_flight() != 0;
-      if (busy != (chan_active_[e] != 0)) {
-        return fail("active-set channel flag out of sync");
-      }
-    }
+    if (filed != cal_pending_) return fail("calendar pending count off");
     for (std::size_t e = 0; e < endpoints_.size(); ++e) {
       if ((endpoints_[e].queue_length() > 0) != (ep_active_[e] != 0)) {
         return fail("active-set endpoint flag out of sync");

@@ -12,6 +12,8 @@
 // (steady-state stepping does no heap allocation).
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -59,11 +61,12 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Executes one cycle: channel delivery, endpoint injection, router step.
-  /// With cfg.skip_idle (the default) only components that can make
-  /// progress are visited (active-set worklists); otherwise every link,
-  /// endpoint and router is swept densely. Both modes produce bit-identical
-  /// results (test_active_set pins this) — the dense sweep stays as the
-  /// reference implementation.
+  /// With cfg.skip_idle (the default) only the channels with an arrival due
+  /// (delivery calendar) and the routers and endpoints that can make
+  /// progress (worklists) are visited; otherwise every link, endpoint and
+  /// router is swept densely. Both modes produce bit-identical results for
+  /// any non-decreasing sequence of `now` (test_active_set pins this) — the
+  /// dense sweep stays as the reference implementation.
   void step(Cycle now);
 
   /// Enqueues a packet at endpoint `e` (false when its source queue is
@@ -80,9 +83,9 @@ class Network {
 
   /// True when nothing can happen until new traffic is offered: no buffered
   /// or in-flight flits, no queued packets, no in-flight credits. O(1) in
-  /// skip-idle mode (all worklists empty), O(N) scan in dense mode. The
-  /// Simulator fast-forwards quiescent stretches to the traffic source's
-  /// next event cycle.
+  /// skip-idle mode (empty worklists and calendar), O(N) scan in dense
+  /// mode. The Simulator fast-forwards quiescent stretches to the traffic
+  /// source's next event cycle.
   [[nodiscard]] bool quiescent() const;
 
   /// Packets delivered whose generation time fell inside their sink's
@@ -166,9 +169,9 @@ class Network {
   /// re-entering come back with fresh flow state. In-flight flits of
   /// severed or unroutable packets are excised deterministically with
   /// upstream credits refunded, zero-progress allocations toward dead
-  /// ports are revoked for re-routing, and the active-set worklists are
-  /// rebuilt exactly. Install the matching DegradedRouting separately
-  /// (possibly later: reconvergence window).
+  /// ports are revoked for re-routing, and the active-set worklists and
+  /// delivery calendar are rebuilt exactly. Install the matching
+  /// DegradedRouting separately (possibly later: reconvergence window).
   FaultOutcome fault_transition(
       const std::vector<std::pair<graph::NodeId, graph::NodeId>>& kill_links,
       const std::vector<std::pair<graph::NodeId, graph::NodeId>>& repair_links,
@@ -205,8 +208,9 @@ class Network {
 
   void step_dense(Cycle now);
   void step_active(Cycle now);
-  /// Re-derives every worklist from scratch (exact post-fault state).
-  void rebuild_worklists();
+  /// Re-derives both worklists and the calendar from scratch (exact
+  /// post-fault state).
+  void rebuild_active_set();
 
   /// Membership-flagged worklist push (no-op when already a member).
   static void arm(std::vector<std::uint32_t>& list, std::vector<char>& flag,
@@ -216,6 +220,43 @@ class Network {
       list.push_back(static_cast<std::uint32_t>(idx));
     }
   }
+
+  /// The five channel kinds a calendar entry names: a link's flit and
+  /// credit channels, an endpoint's injection, injection-credit and
+  /// ejection channels. An entry is kind << kKindShift | index, the index
+  /// being a link or an endpoint id.
+  enum ChanKind : std::uint32_t {
+    kLinkFlit,
+    kLinkCredit,
+    kInjFlit,
+    kInjCredit,
+    kEjFlit,
+    kNumChanKinds
+  };
+  static constexpr std::uint32_t kKindShift = 29;
+  static constexpr std::uint32_t kIndexMask = (1u << kKindShift) - 1;
+  static std::uint32_t chan_entry(ChanKind kind, std::size_t idx) {
+    return (static_cast<std::uint32_t>(kind) << kKindShift) |
+           static_cast<std::uint32_t>(idx);
+  }
+
+  /// Files `entry` in the bucket of its payload's arrival cycle.
+  void schedule(std::uint32_t entry, Cycle arrival) {
+    const std::size_t b = static_cast<std::size_t>(arrival) & cal_mask_;
+    assert(cal_count_[b] < cal_width_);
+    cal_slots_[b * cal_width_ + cal_count_[b]++] = entry;
+    ++cal_pending_;
+  }
+  /// Schedules the payload just pushed into `entry`'s channel at `now`.
+  void schedule_push(std::uint32_t entry, Cycle now) {
+    schedule(entry, now + kind_latency_[entry >> kKindShift]);
+  }
+  /// Delivers the payloads of every bucket due by `now`.
+  void deliver_due(Cycle now);
+
+  /// Calls fn(entry, arrival) for every in-flight payload of every channel.
+  template <typename Fn>
+  void for_each_in_flight(Fn fn) const;
 
   SimConfig cfg_;
   std::shared_ptr<const TopologyContext> topo_;
@@ -228,34 +269,44 @@ class Network {
   std::vector<RouterLink> links_;
   std::vector<EndpointChannels> ep_channels_;
 
-  // --- Active-set worklists (skip-idle stepping) --------------------------
-  // A component sits on its worklist exactly while it can make progress:
-  // links/channels with anything in flight, routers with buffered flits,
-  // endpoints with queued packets. Each list carries a parallel membership
-  // flag so arming is O(1) and idempotent; step_active compacts the lists
-  // in place as components drain. Re-arming happens at the producer: a
-  // router step arms exactly the channels its ports pushed into this step
-  // (the router's SA scratch records pushed ports; the target tables below
-  // map ports to worklist entries), channel delivery arms the receiving
-  // router, and offer_packet arms the endpoint.
-  std::vector<std::uint32_t> active_links_;
-  std::vector<char> link_active_;
-  std::vector<std::uint32_t> active_chans_;
-  std::vector<char> chan_active_;
+  // --- Active-set stepping state (skip-idle mode) ------------------------
+  // Routers and endpoints sit on a worklist exactly while they can make
+  // progress: routers with buffered flits, endpoints with queued packets.
+  // Each list carries a parallel membership flag so arming is O(1) and
+  // idempotent; step_active compacts the lists in place as components
+  // drain. Flit delivery arms the receiving router and offer_packet arms
+  // the endpoint.
   std::vector<std::uint32_t> active_routers_;
   std::vector<char> router_active_;
   std::vector<std::uint32_t> active_eps_;
   std::vector<char> ep_active_;
-  /// Port -> worklist-target tables, built once at wiring time. For router
-  /// r and port p, out_flit_target_[r][p] is the worklist entry to arm when
-  /// that port pushes a flit (a link for network ports, an endpoint-channel
-  /// ejection for endpoint ports) and in_credit_target_[r][p] the entry
-  /// armed when a grant on that input port returns a credit (the reverse
-  /// link, or the endpoint's injection-credit channel). Endpoint-channel
-  /// entries carry kChanBit; links are plain indices.
-  static constexpr std::uint32_t kChanBit = 0x80000000u;
-  std::vector<std::vector<std::uint32_t>> out_flit_target_;
-  std::vector<std::vector<std::uint32_t>> in_credit_target_;
+
+  // Channels run on a timed-delivery calendar (a timing wheel: Varghese &
+  // Lauck, SOSP 1987). Every flit or credit push files one entry naming its
+  // channel in the bucket of the payload's arrival cycle, so a step visits
+  // only the channels that deliver. Endpoint injections are scheduled after
+  // Endpoint::inject reports a push, router pushes from Router::grants().
+  // A channel carries at most one arrival per cycle, so a bucket holds at
+  // most two entries per directed link and three per endpoint (cal_width_).
+  // The bucket count is the power of two above the largest channel
+  // latency, so the pending arrivals (cycles cal_next_ .. cal_next_ +
+  // latency - 1) never share a bucket. All of it is sized at construction:
+  // stepping never allocates.
+  std::vector<std::uint32_t> cal_slots_;  ///< [bucket * cal_width_ + k]
+  std::vector<std::uint32_t> cal_count_;  ///< entries filed per bucket
+  std::size_t cal_width_ = 0;             ///< per-bucket capacity
+  std::size_t cal_mask_ = 0;              ///< bucket count - 1
+  std::size_t cal_pending_ = 0;           ///< entries over all buckets
+  Cycle cal_next_ = 0;  ///< first cycle whose bucket is not yet delivered
+  std::array<Cycle, kNumChanKinds> kind_latency_{};  ///< per ChanKind
+  /// Port -> calendar-entry tables, built once at wiring time. For router
+  /// r and port p, out_flit_entry_[r][p] names the channel a flit sent on
+  /// that port enters (a link, or an endpoint's ejection channel) and
+  /// in_credit_entry_[r][p] the channel a grant on that input port returns
+  /// its credit on (the reverse link's credits, or the endpoint's
+  /// injection credits).
+  std::vector<std::vector<std::uint32_t>> out_flit_entry_;
+  std::vector<std::vector<std::uint32_t>> in_credit_entry_;
 
   // --- Fault state (empty/zero until the first fault_transition) ----------
   std::vector<char> router_online_;     ///< empty == everything online

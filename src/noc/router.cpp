@@ -44,7 +44,7 @@ Router::Router(std::uint32_t id, const SimConfig& cfg,
   credit_latency_.assign(n_ports_, 1);
   sa_in_rr_.assign(n_ports_, 0);
   sa_in_port_used_.assign(n_ports_, 0);
-  sa_out_port_used_.assign(n_ports_, 0);
+  grants_.reserve(n_ports_);
   mask_words_ = (n_ports_ * vcs + 63) / 64;
   sa_request_mask_.assign(n_ports_ * mask_words_, 0);
   sa_req_count_.assign(n_ports_, 0);
@@ -85,7 +85,7 @@ void Router::reset() {
   }
   std::fill(sa_in_rr_.begin(), sa_in_rr_.end(), 0);
   std::fill(sa_in_port_used_.begin(), sa_in_port_used_.end(), 0);
-  std::fill(sa_out_port_used_.begin(), sa_out_port_used_.end(), 0);
+  grants_.clear();
   std::fill(sa_request_mask_.begin(), sa_request_mask_.end(), 0);
   std::fill(sa_req_count_.begin(), sa_req_count_.end(), 0);
   std::fill(occupied_.begin(), occupied_.end(), 0);
@@ -330,7 +330,7 @@ void Router::step(Cycle now) {
 void Router::switch_allocate(Cycle now) {
   const int total_vcs = static_cast<int>(in_.size());
   std::fill(sa_in_port_used_.begin(), sa_in_port_used_.end(), 0);
-  std::fill(sa_out_port_used_.begin(), sa_out_port_used_.end(), 0);
+  grants_.clear();
 
   // Tries flat input VC `idx`, a requester of `out_p`; true on a grant.
   auto try_grant = [&](std::size_t out_p, int idx) {
@@ -365,15 +365,17 @@ void Router::switch_allocate(Cycle now) {
     clear_bit(revocable_.data(), idx);  // the packet has made progress
     ++stats_.flits_routed;
     sa_in_port_used_[in_port] = 1;
-    sa_out_port_used_[out_p] = 1;
 
     // Return a credit for the freed buffer slot upstream.
-    if (credit_channel_[in_port] != nullptr) {
+    const bool credit = credit_channel_[in_port] != nullptr;
+    if (credit) {
       credit_channel_[in_port]->push(
           static_cast<int>(static_cast<std::size_t>(idx) %
                            static_cast<std::size_t>(cfg_.vcs)),
           now + credit_latency_[in_port]);
     }
+    grants_.push_back(Grant{static_cast<std::uint16_t>(in_port),
+                            static_cast<std::uint16_t>(out_p), credit});
 
     if (f.tail) {
       // Release the input VC and (for network outputs) the output VC.

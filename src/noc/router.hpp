@@ -113,17 +113,20 @@ class Router {
 
   [[nodiscard]] const HotStats& hot_stats() const noexcept { return stats_; }
 
-  /// Switch-allocation scratch, valid immediately after step(): which
-  /// output ports pushed a flit into their channel this step, and which
-  /// input ports had a grant (and therefore returned a credit upstream
-  /// when a credit channel is wired). The active-set stepper arms exactly
-  /// the channels these ports feed instead of re-scanning every channel
-  /// adjacent to the router.
-  [[nodiscard]] const std::vector<char>& out_ports_pushed() const noexcept {
-    return sa_out_port_used_;
-  }
-  [[nodiscard]] const std::vector<char>& in_ports_granted() const noexcept {
-    return sa_in_port_used_;
+  /// One switch grant: a flit left through `out_port`, and when `credit` is
+  /// set a credit for the slot it freed went upstream through `in_port`'s
+  /// credit channel (a port killed by a fault has none).
+  struct Grant {
+    std::uint16_t in_port = 0;
+    std::uint16_t out_port = 0;
+    bool credit = false;
+  };
+
+  /// The grants of the last step(), in grant order: exactly the channel
+  /// pushes that step made. The active-set stepper schedules those channels
+  /// on its delivery calendar instead of scanning every port of the router.
+  [[nodiscard]] const std::vector<Grant>& grants() const noexcept {
+    return grants_;
   }
 
   /// Validates internal invariants (buffer bounds, credit bounds, ownership
@@ -284,9 +287,12 @@ class Router {
   // advances only on grants, which cannot happen while idle.
   std::vector<int> sa_in_rr_;  ///< per output port, over flat input-VC ids
 
-  // Preallocated switch-allocation scratch (per-cycle matching state).
+  // Preallocated switch-allocation scratch: which input ports already won
+  // a grant this cycle (one flit per input port per cycle), and the grants
+  // themselves (reserved to n_ports_: each output port grants at most once
+  // per cycle, so recording them never allocates).
   std::vector<char> sa_in_port_used_;
-  std::vector<char> sa_out_port_used_;
+  std::vector<Grant> grants_;
 
   // Requester bitmasks: [out_port * mask_words_ + word] over flat input-VC
   // ids; bit set iff that input VC is kActive toward that output port.

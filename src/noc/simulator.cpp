@@ -155,6 +155,17 @@ LatencyResult Simulator::run_latency(double flit_rate, Cycle warmup,
   tag_end_ = window_end;
   tagged_generated_ = 0;
   const std::uint64_t delivered_before = net_.tagged_delivered();
+  // The sinks' latency sums, like the delivery counter, accumulate over
+  // every run on this network: snapshot both so this run averages only the
+  // packets it tagged.
+  const auto tagged_latency_sum = [this] {
+    std::uint64_t sum = 0;
+    for (std::size_t e = 0; e < net_.num_endpoints(); ++e) {
+      sum += net_.endpoint(e).sink().tagged_latency_sum;
+    }
+    return sum;
+  };
+  const std::uint64_t latency_sum_before = tagged_latency_sum();
 
   // Warmup + measurement window.
   advance_until(window_end, traffic);
@@ -171,10 +182,7 @@ LatencyResult Simulator::run_latency(double flit_rate, Cycle warmup,
   LatencyResult result;
   result.packets_measured = net_.tagged_delivered() - delivered_before;
   result.drained = result.packets_measured == tagged_generated_;
-  std::uint64_t latency_sum = 0;
-  for (std::size_t e = 0; e < net_.num_endpoints(); ++e) {
-    latency_sum += net_.endpoint(e).sink().tagged_latency_sum;
-  }
+  const std::uint64_t latency_sum = tagged_latency_sum() - latency_sum_before;
   result.avg_packet_latency =
       result.packets_measured == 0
           ? 0.0

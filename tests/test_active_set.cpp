@@ -3,8 +3,9 @@
 //  1. Active-set stepping (SimConfig::skip_idle, the default) is an
 //     optimization, never a behavior change: measurement results and flit
 //     accounting are bit-identical to the dense reference sweep across
-//     routing modes, seeds and traffic patterns — including the quiescence
-//     fast-forward (which must actually engage at low load).
+//     channel latencies (the delivery calendar's geometry), routing modes,
+//     seeds and traffic patterns — including the quiescence fast-forward
+//     (which must actually engage at low load).
 //  2. The surrogate-bracketed saturation search probes the plain
 //     bisection's dyadic grid and returns a local knee of it: a stable
 //     point (or 0) whose next grid step up is unstable (or the point is
@@ -14,8 +15,8 @@
 //     knees.
 //
 // Plus: Network::reset() clears the active-set state (the arena recycles
-// networks through reset(); stale worklists would violate the skip-mode
-// flag-exactness invariants and resurrect ghost work).
+// networks through reset(); stale worklists or calendar entries would
+// violate the skip-mode exactness invariants and resurrect ghost work).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,6 +53,38 @@ TrafficSpec hotspot_spec() {
   return spec;
 }
 
+/// A network and the channel latencies the dense comparison runs it with.
+/// The latencies set the delivery calendar's geometry: 1-cycle links, the
+/// defaults (a 32-bucket wheel), and 45-cycle links (64 buckets, so an
+/// arrival wraps past a 32-slot horizon) with unequal endpoint-channel
+/// latencies, where ejections and injections pushed in different cycles
+/// arrive in the same one. The HexaMesh case is the zero-load latency run
+/// of every latency-objective search step (perfbench's search-latency).
+struct Shape {
+  const char* name;
+  ArrangementType type;
+  std::size_t chiplets;
+  int link_latency;
+  int injection_latency;
+  int ejection_latency;
+  double latency_rate;
+  Cycle warmup;
+  Cycle measure;
+};
+
+const SimConfig kDefaults;
+const Shape kShapes[] = {
+    {"grid9 default latencies", ArrangementType::kGrid, 9,
+     kDefaults.link_latency, kDefaults.injection_link_latency,
+     kDefaults.ejection_link_latency, 0.05, 200, 500},
+    {"grid9 link=1", ArrangementType::kGrid, 9, 1, 1, 1, 0.05, 200, 500},
+    {"grid9 link=45 inj=2 ej=3", ArrangementType::kGrid, 9, 45, 2, 3, 0.05,
+     200, 500},
+    {"hexamesh37 rate=0.01 1000+3000", ArrangementType::kHexaMesh, 37,
+     kDefaults.link_latency, kDefaults.injection_link_latency,
+     kDefaults.ejection_link_latency, 0.01, 1000, 3000},
+};
+
 /// One full measurement pass (latency run then throughput run on the same
 /// Simulator, like evaluate() does) with everything observable captured.
 struct RunObservation {
@@ -59,21 +92,29 @@ struct RunObservation {
   hm::noc::ThroughputResult throughput;
   std::uint64_t flits_injected = 0;
   std::uint64_t flits_ejected = 0;
+  Network::HotStats hot;
   std::uint64_t idle_skipped = 0;
 };
 
-RunObservation observe(const SimConfig& cfg, const TrafficSpec& traffic) {
-  const auto arr = make_arrangement(ArrangementType::kGrid, 9);
+RunObservation observe(const Shape& shape, SimConfig cfg,
+                       const TrafficSpec& traffic) {
+  cfg.link_latency = shape.link_latency;
+  cfg.injection_link_latency = shape.injection_latency;
+  cfg.ejection_link_latency = shape.ejection_latency;
+  const auto arr = make_arrangement(shape.type, shape.chiplets);
   Simulator sim(arr.graph(), cfg);
   sim.set_traffic(traffic);
   RunObservation obs;
-  obs.latency = sim.run_latency(0.05, 200, 500, 30000);
+  std::string why;
+  obs.latency = sim.run_latency(shape.latency_rate, shape.warmup,
+                                shape.measure, 300000);
+  EXPECT_TRUE(sim.network().invariants_ok(&why)) << shape.name << ": " << why;
   obs.throughput = sim.run_throughput(0.3, 300, 300);
+  EXPECT_TRUE(sim.network().invariants_ok(&why)) << shape.name << ": " << why;
   obs.flits_injected = sim.network().total_flits_injected();
   obs.flits_ejected = sim.network().total_flits_ejected();
+  obs.hot = sim.network().hot_stats();
   obs.idle_skipped = sim.idle_skipped_cycles();
-  std::string why;
-  EXPECT_TRUE(sim.network().invariants_ok(&why)) << why;
   return obs;
 }
 
@@ -82,39 +123,56 @@ TEST(ActiveSet, BitIdenticalToDenseAcrossModesSeedsAndTraffic) {
                                RoutingMode::kDeterministicMinimal,
                                RoutingMode::kUpDownOnly};
   const TrafficSpec traffics[] = {TrafficSpec{}, hotspot_spec()};
-  for (const RoutingMode mode : modes) {
-    for (const unsigned long long seed : {7ull, 42ull, 1234ull}) {
-      for (const TrafficSpec& traffic : traffics) {
-        SimConfig cfg;
-        cfg.routing = mode;
-        cfg.seed = seed;
-        cfg.skip_idle = true;
-        const RunObservation active = observe(cfg, traffic);
-        cfg.skip_idle = false;
-        const RunObservation dense = observe(cfg, traffic);
+  for (const Shape& shape : kShapes) {
+    for (const RoutingMode mode : modes) {
+      for (const unsigned long long seed : {7ull, 42ull, 1234ull}) {
+        for (const TrafficSpec& traffic : traffics) {
+          SimConfig cfg;
+          cfg.routing = mode;
+          cfg.seed = seed;
+          cfg.skip_idle = true;
+          const RunObservation active = observe(shape, cfg, traffic);
+          cfg.skip_idle = false;
+          const RunObservation dense = observe(shape, cfg, traffic);
 
-        const std::string ctx =
-            "mode=" + std::to_string(static_cast<int>(mode)) +
-            " seed=" + std::to_string(seed) + " hotspot=" +
-            std::to_string(traffic.pattern == TrafficPattern::kHotspot);
-        EXPECT_EQ(active.latency.avg_packet_latency,
-                  dense.latency.avg_packet_latency) << ctx;
-        EXPECT_EQ(active.latency.packets_measured,
-                  dense.latency.packets_measured) << ctx;
-        EXPECT_EQ(active.latency.drained, dense.latency.drained) << ctx;
-        EXPECT_EQ(active.throughput.accepted_flit_rate,
-                  dense.throughput.accepted_flit_rate) << ctx;
-        EXPECT_EQ(active.throughput.generated_flit_rate,
-                  dense.throughput.generated_flit_rate) << ctx;
-        EXPECT_EQ(active.throughput.dropped_packets,
-                  dense.throughput.dropped_packets) << ctx;
-        EXPECT_EQ(active.flits_injected, dense.flits_injected) << ctx;
-        EXPECT_EQ(active.flits_ejected, dense.flits_ejected) << ctx;
-        // The optimization must actually optimize: dense mode never
-        // fast-forwards, active mode must have skipped something during
-        // the low-load latency phase.
-        EXPECT_EQ(dense.idle_skipped, 0u) << ctx;
-        EXPECT_GT(active.idle_skipped, 0u) << ctx;
+          const std::string ctx =
+              std::string(shape.name) +
+              " mode=" + std::to_string(static_cast<int>(mode)) +
+              " seed=" + std::to_string(seed) + " hotspot=" +
+              std::to_string(traffic.pattern == TrafficPattern::kHotspot);
+          EXPECT_EQ(active.latency.avg_packet_latency,
+                    dense.latency.avg_packet_latency) << ctx;
+          EXPECT_EQ(active.latency.packets_measured,
+                    dense.latency.packets_measured) << ctx;
+          EXPECT_EQ(active.latency.drained, dense.latency.drained) << ctx;
+          EXPECT_GT(active.latency.packets_measured, 0u) << ctx;
+          EXPECT_EQ(active.throughput.offered_flit_rate,
+                    dense.throughput.offered_flit_rate) << ctx;
+          EXPECT_EQ(active.throughput.accepted_flit_rate,
+                    dense.throughput.accepted_flit_rate) << ctx;
+          EXPECT_EQ(active.throughput.generated_flit_rate,
+                    dense.throughput.generated_flit_rate) << ctx;
+          EXPECT_EQ(active.throughput.dropped_packets,
+                    dense.throughput.dropped_packets) << ctx;
+          EXPECT_EQ(active.flits_injected, dense.flits_injected) << ctx;
+          EXPECT_EQ(active.flits_ejected, dense.flits_ejected) << ctx;
+          const hm::noc::Router::HotStats& a = active.hot.routers;
+          const hm::noc::Router::HotStats& d = dense.hot.routers;
+          EXPECT_EQ(a.flits_routed, d.flits_routed) << ctx;
+          EXPECT_EQ(a.va_stall_cycles, d.va_stall_cycles) << ctx;
+          EXPECT_EQ(a.sa_conflict_stalls, d.sa_conflict_stalls) << ctx;
+          EXPECT_EQ(a.sa_credit_stalls, d.sa_credit_stalls) << ctx;
+          EXPECT_EQ(a.heads_revoked, d.heads_revoked) << ctx;
+          EXPECT_EQ(a.ring_hwm, d.ring_hwm) << ctx;
+          EXPECT_EQ(active.hot.source_queue_hwm, dense.hot.source_queue_hwm)
+              << ctx;
+          // The optimization must actually optimize: dense mode never
+          // fast-forwards and steps every router every cycle, active mode
+          // must have skipped something during the low-load latency phase.
+          EXPECT_EQ(dense.idle_skipped, 0u) << ctx;
+          EXPECT_GT(active.idle_skipped, 0u) << ctx;
+          EXPECT_LT(active.hot.router_steps, dense.hot.router_steps) << ctx;
+        }
       }
     }
   }
@@ -141,8 +199,8 @@ TEST(ActiveSet, ResetClearsActiveSetState) {
   ASSERT_FALSE(recycled.quiescent());
 
   recycled.reset();
-  // Quiescent again (in skip-idle mode that IS "all worklists empty"), with
-  // the flag-exactness invariants intact.
+  // Quiescent again (in skip-idle mode that IS "worklists and calendar
+  // empty"), with the exactness invariants intact.
   EXPECT_TRUE(recycled.quiescent());
   std::string why;
   EXPECT_TRUE(recycled.invariants_ok(&why)) << why;
@@ -163,6 +221,40 @@ TEST(ActiveSet, ResetClearsActiveSetState) {
   EXPECT_EQ(fresh.total_flits_injected(), recycled.total_flits_injected());
   EXPECT_EQ(fresh.total_flits_ejected(), recycled.total_flits_ejected());
   EXPECT_GT(fresh.total_flits_ejected(), 0u);
+}
+
+TEST(ActiveSet, SteppingWithGapsMatchesDense) {
+  // Network::step takes any non-decreasing cycle sequence: after skipped
+  // cycles both modes deliver every arrival due by `now`, in arrival
+  // order. The long gap outlasts a lap of the 32-bucket calendar.
+  const auto arr = make_arrangement(ArrangementType::kGrid, 9);
+  SimConfig cfg;
+  Network active(arr.graph(), cfg);
+  cfg.skip_idle = false;
+  Network dense(arr.graph(), cfg);
+  hm::noc::SyntheticTraffic traffic({}, active.num_endpoints(), 0.2,
+                                    cfg.packet_length);
+  traffic.bind(5, 0);
+  std::vector<Packet> due;
+  std::string why;
+  for (Cycle now = 0; now < 800; ++now) {
+    due.clear();
+    traffic.generate_due(now, due);
+    for (const auto& p : due) {
+      ASSERT_EQ(active.offer_packet(p.src_endpoint, p),
+                dense.offer_packet(p.src_endpoint, p));
+    }
+    if (now % 5 == 2 || (now >= 300 && now < 340)) continue;
+    active.step(now);
+    dense.step(now);
+    ASSERT_TRUE(active.invariants_ok(&why)) << "cycle " << now << ": " << why;
+    ASSERT_EQ(active.total_flits_ejected(), dense.total_flits_ejected())
+        << "cycle " << now;
+  }
+  EXPECT_EQ(active.total_flits_injected(), dense.total_flits_injected());
+  EXPECT_EQ(active.hot_stats().routers.flits_routed,
+            dense.hot_stats().routers.flits_routed);
+  EXPECT_GT(active.total_flits_ejected(), 0u);
 }
 
 /// Short-window saturation search options every surrogate test shares.

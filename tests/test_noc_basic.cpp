@@ -3,6 +3,7 @@
 // invariants, plus config validation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/grid.hpp"
@@ -250,6 +251,33 @@ TEST(Simulator, LatencyRunDrainsAtLowLoad) {
   EXPECT_TRUE(result.drained);
   EXPECT_GT(result.packets_measured, 0u);
   EXPECT_GT(result.avg_packet_latency, 5.0);
+}
+
+TEST(Simulator, BackToBackLatencyRunsAverageOnlyTheirOwnPackets) {
+  // The sinks' tagged latency sums accumulate over every run on the
+  // network; the second run must divide only its own packets' latency.
+  const auto arr = hm::core::make_grid(4);
+  hm::noc::Simulator sim(arr.graph(), default_config());
+  const auto sink_latency_sum = [&sim] {
+    std::uint64_t sum = 0;
+    for (std::size_t e = 0; e < sim.network().num_endpoints(); ++e) {
+      sum += sim.network().endpoint(e).sink().tagged_latency_sum;
+    }
+    return sum;
+  };
+  const auto first = sim.run_latency(0.02, 500, 2000, 50000);
+  const std::uint64_t after_first = sink_latency_sum();
+  const auto second = sim.run_latency(0.02, 500, 2000, 50000);
+  ASSERT_TRUE(first.drained);
+  ASSERT_TRUE(second.drained);
+  ASSERT_GT(second.packets_measured, 0u);
+  EXPECT_EQ(second.avg_packet_latency,
+            static_cast<double>(sink_latency_sum() - after_first) /
+                static_cast<double>(second.packets_measured));
+  // Same load, fresh traffic streams: the averages agree closely, where
+  // dividing the lifetime sum would nearly double the second one.
+  EXPECT_NEAR(second.avg_packet_latency, first.avg_packet_latency,
+              0.2 * first.avg_packet_latency);
 }
 
 TEST(Simulator, ThroughputBoundedByCapacity) {
