@@ -200,9 +200,11 @@ void bench_simulator_lowload() {
 }
 
 void bench_saturation_probes() {
-  // Probe count of the saturation search, plain bisection vs the
-  // analytically-seeded surrogate gallop (both return the same rate;
-  // test_active_set pins that — this tracks the probe budget).
+  // Probe count of the one saturation search without an estimate (the
+  // full-rate probe plus six bisection steps: 7) and seeded with the
+  // analytic estimate (the gallop). Both return the same rate here;
+  // test_active_set pins that. These are deterministic work counts, so
+  // tools/check_perf_regression.py fails any rise above the baseline.
   const auto arr = make_arrangement(ArrangementType::kHexaMesh, 37);
   const auto topo = hm::noc::TopologyContext::acquire(arr.graph());
   hm::noc::SimConfig cfg;

@@ -200,9 +200,10 @@ EvaluationResult evaluate_simulation(
     search.warmup = params.throughput_warmup;
     search.measure = params.throughput_measure;
     // Seed the search with the analytic saturation estimate so a good
-    // estimate needs ~3 probes instead of ~7. A bad estimate costs extra
-    // probes; where probe outcomes are not monotone it can also land on a
-    // different local knee than the plain bisection would.
+    // estimate needs ~3 probes instead of the 7 an unseeded search runs. A
+    // bad estimate costs extra probes; where probe outcomes are not
+    // monotone it can also land on a different local knee than the
+    // unseeded search would.
     search.surrogate_rate = analytic_saturation_estimate(r, params);
     const auto sat =
         noc::find_saturation(topology, params.sim, search, traffic,

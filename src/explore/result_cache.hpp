@@ -54,7 +54,6 @@ class ResultCache {
   /// detaches. Entries already in memory are left alone (and stay
   /// non-dirty — only post-attach inserts are flushed).
   void attach_store(std::shared_ptr<store::ResultStore> store);
-  [[nodiscard]] bool has_store() const noexcept { return store_ != nullptr; }
 
   /// Writes every dirty entry through to the attached store and flushes it
   /// to disk. Returns the number of entries written (0 without a store).

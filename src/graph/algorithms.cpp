@@ -27,18 +27,6 @@ std::vector<int> bfs_distances(const Graph& g, NodeId src) {
   return dist;
 }
 
-int eccentricity(const Graph& g, NodeId src) {
-  const auto dist = bfs_distances(g, src);
-  int ecc = 0;
-  for (int d : dist) {
-    if (d == kUnreachable) {
-      throw std::invalid_argument("eccentricity: graph is disconnected");
-    }
-    ecc = std::max(ecc, d);
-  }
-  return ecc;
-}
-
 DistanceSummary distance_summary(const Graph& g) {
   const std::size_t n = g.node_count();
   DistanceSummary out;
@@ -161,31 +149,6 @@ double planar_avg_degree_bound(std::size_t v) {
     throw std::invalid_argument("planar_avg_degree_bound requires v >= 3");
   }
   return 6.0 - 12.0 / static_cast<double>(v);
-}
-
-std::vector<std::vector<int>> all_pairs_distances(const Graph& g) {
-  std::vector<std::vector<int>> dist;
-  dist.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    dist.push_back(bfs_distances(g, v));
-  }
-  return dist;
-}
-
-std::vector<std::size_t> distance_histogram(const Graph& g) {
-  std::vector<std::size_t> hist;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto dist = bfs_distances(g, v);
-    for (NodeId u = v; u < g.node_count(); ++u) {
-      const int d = dist[u];
-      if (d == kUnreachable) continue;
-      if (hist.size() <= static_cast<std::size_t>(d)) {
-        hist.resize(static_cast<std::size_t>(d) + 1, 0);
-      }
-      ++hist[static_cast<std::size_t>(d)];
-    }
-  }
-  return hist;
 }
 
 }  // namespace hm::graph

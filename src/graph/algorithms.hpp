@@ -1,5 +1,5 @@
 // Graph algorithms used by the arrangement analysis (paper Sec. III-C and
-// IV-D): BFS distances, eccentricity, diameter (latency proxy), average
+// IV-D): BFS distances, diameter (latency proxy), average
 // shortest-path distance (zero-load-latency predictor), connectivity, and the
 // planar average-degree bound of Sec. IV-A.
 #pragma once
@@ -19,10 +19,6 @@ inline constexpr int kUnreachable = -1;
 /// Breadth-first-search distances (in hops) from `src` to every vertex.
 /// Unreachable vertices get kUnreachable.
 [[nodiscard]] std::vector<int> bfs_distances(const Graph& g, NodeId src);
-
-/// Largest finite BFS distance from `src` (the vertex eccentricity).
-/// Throws std::invalid_argument if some vertex is unreachable from `src`.
-[[nodiscard]] int eccentricity(const Graph& g, NodeId src);
 
 /// What one all-pairs BFS sweep yields: the diameter and the distance sum
 /// behind the average distance.
@@ -70,13 +66,5 @@ struct DistanceSummary {
 
 /// Upper bound on the average degree of a planar graph: 6 - 12/v (v >= 3).
 [[nodiscard]] double planar_avg_degree_bound(std::size_t v);
-
-/// Full all-pairs shortest-path distance matrix (hops); dist[u][v] ==
-/// kUnreachable when v is not reachable from u.
-[[nodiscard]] std::vector<std::vector<int>> all_pairs_distances(const Graph& g);
-
-/// Histogram of shortest-path distances over unordered reachable pairs:
-/// result[d] = number of pairs at distance d (result[0] == node_count).
-[[nodiscard]] std::vector<std::size_t> distance_histogram(const Graph& g);
 
 }  // namespace hm::graph

@@ -32,7 +32,6 @@ bool Endpoint::try_enqueue(const Packet& p) {
   Packet admitted = p;
   admitted.id = packets_->add(p);  // cold record written exactly once
   queue_.push_back(admitted);
-  ++packets_enqueued_;
   if (queue_.size() > queue_hwm_) queue_hwm_ = queue_.size();
   return true;
 }
@@ -110,7 +109,6 @@ void Endpoint::reset() {
   next_flit_ = 0;
   rr_vc_ = 0;
   flits_injected_ = 0;
-  packets_enqueued_ = 0;
   queue_hwm_ = 0;
   sink_ = SinkStats{};
   window_begin_ = 0;

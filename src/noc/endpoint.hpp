@@ -72,9 +72,6 @@ class Endpoint {
   [[nodiscard]] std::uint64_t flits_injected() const noexcept {
     return flits_injected_;
   }
-  [[nodiscard]] std::uint64_t packets_enqueued() const noexcept {
-    return packets_enqueued_;
-  }
   [[nodiscard]] std::size_t queue_length() const noexcept {
     return queue_.size();
   }
@@ -129,7 +126,6 @@ class Endpoint {
   int next_flit_ = 0;         ///< next flit index of the active packet
   int rr_vc_ = 0;             ///< round-robin start for VC selection
   std::uint64_t flits_injected_ = 0;
-  std::uint64_t packets_enqueued_ = 0;
   std::uint64_t queue_hwm_ = 0;
   SinkStats sink_;
   Cycle window_begin_ = 0;

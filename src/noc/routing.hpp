@@ -156,8 +156,9 @@ class RoutingTables {
   void build_full(const graph::Graph& g);
   void build_min_port_row(const graph::Graph& g, graph::NodeId cur);
   void build_escape(const graph::Graph& g);
-  /// Graph center the escape tree roots at (argmin eccentricity over the
-  /// current dist_ matrix, smallest id on ties).
+  /// Graph center the escape tree roots at (the vertex whose largest
+  /// distance in the current dist_ matrix is smallest, smallest id on
+  /// ties).
   [[nodiscard]] graph::NodeId select_escape_root() const;
   /// Backward state-graph BFS + forward hop assignment for one
   /// destination. `depth` is the root's distance row (the up*/down*

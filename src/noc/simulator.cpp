@@ -1,11 +1,11 @@
 #include "noc/simulator.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "faults/controller.hpp"
@@ -241,16 +241,6 @@ faults::ResilienceStats Simulator::run_resilience(double flit_rate,
   return faults_->stats();
 }
 
-std::uint64_t saturation_rate_key(double rate) noexcept {
-  if (std::isnan(rate)) {
-    // Any NaN payload (or sign) collapses onto the canonical quiet NaN.
-    return std::bit_cast<std::uint64_t>(
-        std::numeric_limits<double>::quiet_NaN());
-  }
-  if (rate == 0.0) rate = 0.0;  // collapse -0.0 onto +0.0 (they compare ==)
-  return std::bit_cast<std::uint64_t>(rate);
-}
-
 SaturationResult find_saturation(const graph::Graph& g, const SimConfig& cfg,
                                  const SaturationSearchOptions& opts,
                                  const TrafficSpec& traffic,
@@ -271,13 +261,17 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   traffic.validate(topo->node_count() *
                    static_cast<std::size_t>(cfg.endpoints_per_chiplet));
   telemetry::Span search_span("sat.search");
+  constexpr int kTop = kSaturationGridSteps;
+  const auto rate_of = [](int k) {
+    return static_cast<double>(k) / static_cast<double>(kTop);
+  };
   SaturationResult result;
 
-  // A probe's outcome is a pure function of its offered rate: every probe
+  // A probe's outcome is a pure function of its grid point: every probe
   // runs on a fresh network seeded with cfg.seed. That is the invariant that
   // makes speculative parallel probing below bit-identical to the
   // sequential search.
-  auto run_one = [&](double rate) {
+  auto run_one = [&](int k) {
     telemetry::Span span("sat.probe");
     static telemetry::Counter probes_run("sat.probes");
     probes_run.add();
@@ -285,45 +279,36 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
     // to a fresh network on the shared topology, minus the allocator churn).
     Simulator sim(SimulationArena::local(), topo, cfg);
     sim.set_traffic(traffic);
-    return sim.run_throughput(rate, opts.warmup, opts.measure);
+    return sim.run_throughput(rate_of(k), opts.warmup, opts.measure);
   };
 
-  // Memoized probes, batched through the executor when one is available.
-  // Keyed by the rate's canonicalized bit pattern (saturation_rate_key:
-  // -0.0 folded onto +0.0, NaNs onto one NaN): probe rates repeat exactly
-  // (they are recomputed from the same midpoint arithmetic), so an O(1)
-  // bit-equality hash lookup replaces ordered exact-double operator<
-  // comparisons on the probe path.
-  std::unordered_map<std::uint64_t, ThroughputResult> memo;
-  const auto rate_key = [](double rate) { return saturation_rate_key(rate); };
-  auto ensure = [&](const std::vector<double>& rates) {
-    std::vector<double> missing;
-    for (double r : rates) {
-      if (!memo.contains(rate_key(r)) &&
-          std::find(missing.begin(), missing.end(), r) == missing.end()) {
-        missing.push_back(r);
+  // Probe results by grid point. ensure() runs the listed points not probed
+  // yet, as one parallel batch when an executor is available; k = 0 is
+  // stable by definition and never probed.
+  std::array<std::optional<ThroughputResult>, kTop + 1> memo;
+  auto ensure = [&](std::initializer_list<int> ks) {
+    std::vector<int> missing;
+    for (const int k : ks) {
+      if (k > 0 && !memo[k] &&
+          std::find(missing.begin(), missing.end(), k) == missing.end()) {
+        missing.push_back(k);
       }
     }
-    if (missing.empty()) return;
     result.probes += static_cast<int>(missing.size());
     if (executor != nullptr && missing.size() > 1) {
-      std::vector<ThroughputResult> out(missing.size());
       std::vector<std::function<void()>> jobs;
       jobs.reserve(missing.size());
-      for (std::size_t i = 0; i < missing.size(); ++i) {
-        jobs.push_back([&, i] { out[i] = run_one(missing[i]); });
+      for (const int k : missing) {
+        jobs.push_back([&, k] { memo[k] = run_one(k); });
       }
       executor->run_batch(jobs);
-      for (std::size_t i = 0; i < missing.size(); ++i) {
-        memo.emplace(rate_key(missing[i]), out[i]);
-      }
     } else {
-      for (double r : missing) memo.emplace(rate_key(r), run_one(r));
+      for (const int k : missing) memo[k] = run_one(k);
     }
   };
-  auto probe = [&](double rate) -> const ThroughputResult& {
-    ensure({rate});
-    return memo.at(rate_key(rate));
+  auto probe = [&](int k) -> const ThroughputResult& {
+    ensure({k});
+    return *memo[k];
   };
 
   // Stable = the source queues never overflowed during the measurement
@@ -336,153 +321,79 @@ SaturationResult find_saturation(std::shared_ptr<const TopologyContext> topo,
   // keeps probe outcomes mostly monotone in the rate, but not always: a
   // probe just below the knee can still drop packets where the next grid
   // point does not.
-  auto stable = [&](const ThroughputResult& r) {
+  auto stable_at = [&](int k) {
+    const auto& r = probe(k);
     return r.dropped_packets == 0 &&
-           r.accepted_flit_rate >= opts.stability * r.generated_flit_rate;
+           r.accepted_flit_rate >= kSaturationStability * r.generated_flit_rate;
   };
 
-  // --- Surrogate-bracketed search ------------------------------------------
-  // Gallop outward from the analytic estimate on the dyadic grid
-  // k / 2^iterations — exactly the rates the plain bisection can probe
-  // (its midpoints are dyadic, hence exactly representable, so memo keys
-  // coincide) — then binary-search the bracket. Like the plain search, it
-  // returns a local knee of the grid: lo_k is stable (or 0) and lo_k + 1
-  // is unstable (or lo_k is the top of the grid). Probe outcomes are a
-  // pure function of the rate, so under monotone outcomes the knee is
-  // unique and this returns the plain search's grid point and accepted
-  // rate; under non-monotone outcomes a different estimate can bracket a
-  // different knee (test_active_set pins both). It needs
-  // ~2 + log2(estimate error in grid steps) probes instead of
-  // iterations + 1.
-  if (opts.surrogate_rate >= 0.0 && opts.iterations >= 1) {
-    const int scale = 1 << opts.iterations;
-    const auto rate_of = [scale](int k) {
-      return static_cast<double>(k) / static_cast<double>(scale);
-    };
-    auto stable_at = [&](int k) { return stable(probe(rate_of(k))); };
-
-    int k0 = static_cast<int>(std::lround(opts.surrogate_rate * scale));
-    k0 = std::clamp(k0, 1, scale);
-    if (executor != nullptr && k0 < scale) {
+  // The search returns a local knee of the grid: lo is stable (or 0) and
+  // lo + 1 is unstable (or lo is the top of the grid). Under monotone
+  // outcomes that knee is unique and the estimate cannot change it; under
+  // non-monotone outcomes a different estimate can bracket a different
+  // knee (test_active_set pins both).
+  int lo = 0;     // stable by definition (zero offered rate)
+  int hi = kTop;  // a probed unstable point unless lo reaches kTop
+  if (!(opts.surrogate_rate >= 0.0)) {
+    // No estimate (negative or NaN): the full-rate probe either shows the
+    // design injection-limited or opens the bracket (0, kTop).
+    if (stable_at(kTop)) lo = kTop;
+  } else {
+    // Gallop outward from the estimate's grid point until a stable and an
+    // unstable point bracket the knee: ~2 + log2(estimate error in grid
+    // steps) probes. The estimate is clamped to [0, 1] before scaling, so
+    // +inf or a huge value starts at the top of the grid instead of
+    // overflowing lround.
+    const int k0 = std::clamp(
+        static_cast<int>(
+            std::lround(std::min(opts.surrogate_rate, 1.0) * kTop)),
+        1, kTop);
+    if (executor != nullptr && k0 < kTop) {
       // Prefetch the common good-estimate case: the bracket is (k0, k0+1).
-      ensure({rate_of(k0), rate_of(k0 + 1)});
+      ensure({k0, k0 + 1});
     }
-
-    int lo_k = 0;           // stable by definition (zero offered rate)
-    int hi_k = scale;       // overwritten by the gallop before use
     int jump = 1;
     if (stable_at(k0)) {
-      lo_k = k0;
-      while (lo_k < scale) {
-        const int j = std::min(lo_k + jump, scale);
+      lo = k0;
+      while (lo < kTop) {
+        const int j = std::min(lo + jump, kTop);
         jump *= 2;
         if (stable_at(j)) {
-          lo_k = j;
+          lo = j;
         } else {
-          hi_k = j;
+          hi = j;
           break;
         }
       }
-      if (lo_k == scale) {
-        // Full rate is stable: injection-limited, same early return as the
-        // plain search's initial 1.0 probe.
-        result.saturation_flit_rate = 1.0;
-        result.accepted_flit_rate = probe(1.0).accepted_flit_rate;
-        return result;
-      }
     } else {
-      hi_k = k0;
-      while (hi_k > 1) {
-        const int j = std::max(hi_k - jump, 1);
+      hi = k0;
+      while (hi > 1) {
+        const int j = std::max(hi - jump, 1);
         jump *= 2;
         if (stable_at(j)) {
-          lo_k = j;
+          lo = j;
           break;
         }
-        hi_k = j;
+        hi = j;
       }
-    }
-
-    // Bracket established: S(lo_k) stable (or lo_k == 0), S(hi_k) unstable.
-    while (hi_k - lo_k > 1) {
-      const int midk = (lo_k + hi_k) / 2;
-      if (executor != nullptr && hi_k - lo_k > 2) {
-        // Speculate both possible next midpoints alongside, as the plain
-        // parallel search does.
-        std::vector<double> batch{rate_of(midk)};
-        const int lmid = (lo_k + midk) / 2;
-        const int rmid = (midk + hi_k) / 2;
-        if (lmid > lo_k && lmid != midk && lmid > 0) {
-          batch.push_back(rate_of(lmid));
-        }
-        if (rmid < hi_k && rmid != midk) batch.push_back(rate_of(rmid));
-        ensure(batch);
-      }
-      if (stable_at(midk)) {
-        lo_k = midk;
-      } else {
-        hi_k = midk;
-      }
-    }
-    result.saturation_flit_rate = rate_of(lo_k);
-    // Same pathological-case fallback as the plain search: no stable point
-    // above 0 found, report the lowest unstable probe's accepted rate.
-    result.accepted_flit_rate =
-        lo_k > 0 ? memo.at(rate_key(rate_of(lo_k))).accepted_flit_rate
-                 : std::min(probe(rate_of(hi_k)).accepted_flit_rate,
-                            rate_of(hi_k));
-    return result;
-  }
-
-  // Full-rate probe first: if the network keeps up with offered = 1.0 it is
-  // injection-limited, not network-limited. With an executor, speculate the
-  // first two binary-search levels alongside it — they are the probes the
-  // search will want next unless the full-rate probe short-circuits.
-  if (executor != nullptr && opts.iterations >= 2) {
-    ensure({1.0, 0.5, 0.25, 0.75});
-  } else if (executor != nullptr && opts.iterations == 1) {
-    ensure({1.0, 0.5});
-  }
-  {
-    const auto& full = probe(1.0);
-    if (stable(full)) {
-      result.saturation_flit_rate = 1.0;
-      result.accepted_flit_rate = full.accepted_flit_rate;
-      return result;
     }
   }
 
-  double lo = 0.0;  // known stable
-  double hi = 1.0;  // known unstable
-  double accepted_at_lo = 0.0;
-  auto step = [&](const ThroughputResult& r, double mid) {
-    if (stable(r)) {
-      lo = mid;
-      accepted_at_lo = r.accepted_flit_rate;
-    } else {
-      hi = mid;
-    }
-  };
-  for (int i = 0; i < opts.iterations; ++i) {
-    const double mid = (lo + hi) / 2.0;
-    if (executor != nullptr && i + 1 < opts.iterations) {
-      // Probe the midpoint and both possible next midpoints in one parallel
-      // batch, then consume two levels of the search from the memo.
-      ensure({mid, (lo + mid) / 2.0, (mid + hi) / 2.0});
-      step(memo.at(rate_key(mid)), mid);
-      ++i;
-      const double mid2 = (lo + hi) / 2.0;
-      step(memo.at(rate_key(mid2)), mid2);
-    } else {
-      step(probe(mid), mid);
-    }
+  // Bisect the bracket down to adjacent grid points (nothing to do when
+  // the full rate is stable: the design is injection-limited). With an
+  // executor, each midpoint's batch also holds the midpoint either outcome
+  // bisects at next.
+  while (hi - lo > 1) {
+    const int mid = (lo + hi) / 2;
+    if (executor != nullptr) ensure({mid, (lo + mid) / 2, (mid + hi) / 2});
+    (stable_at(mid) ? lo : hi) = mid;
   }
-  result.saturation_flit_rate = lo;
-  // If the search never found a stable point above 0 (pathological), report
-  // the accepted rate of the lowest unstable probe as a best effort.
+  result.saturation_flit_rate = rate_of(lo);
+  // If no grid point above 0 is stable (pathological), report the lowest
+  // unstable probe's accepted rate as a best effort.
   result.accepted_flit_rate =
-      lo > 0.0 ? accepted_at_lo
-               : std::min(probe(hi).accepted_flit_rate, hi);
+      lo > 0 ? memo[lo]->accepted_flit_rate
+             : std::min(probe(hi).accepted_flit_rate, rate_of(hi));
   return result;
 }
 

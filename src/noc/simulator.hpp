@@ -59,30 +59,34 @@ struct ThroughputResult {
   std::uint64_t dropped_packets = 0;
 };
 
+/// find_saturation probes only the offered rates k / kSaturationGridSteps
+/// for k = 1..kSaturationGridSteps: a resolution of 1/64 of the full
+/// injection rate, six bisection levels below the full-rate probe.
+inline constexpr int kSaturationGridSteps = 64;
+
+/// A probe at offered rate r is "stable" when no packet was dropped at a
+/// full source queue during the measurement window AND accepted >=
+/// kSaturationStability * generated. The latter guards against in-network
+/// congestion with queues that have not filled yet; it compares against
+/// generated (the rate actually admitted) rather than the nominal r, so
+/// short-window low-rate probes do not flap on generation shot noise.
+inline constexpr double kSaturationStability = 0.9;
+
 /// Options for the saturation-point search.
 struct SaturationSearchOptions {
-  /// A probe at offered rate r is "stable" when no packet was dropped at a
-  /// full source queue during the measurement window AND accepted >=
-  /// stability * generated (the latter guards against in-network congestion
-  /// with queues that have not filled yet; generated — the rate actually
-  /// admitted — rather than the nominal r, so short-window low-rate probes
-  /// do not flap on generation shot noise).
-  double stability = 0.9;
-  /// Binary-search iterations after the initial full-rate probe
-  /// (resolution = 2^-iterations in offered rate).
-  int iterations = 6;
   Cycle warmup = 4000;
   Cycle measure = 4000;
-  /// Analytic saturation estimate in [0, 1] (e.g. from evaluate_analytic's
-  /// bisection/channel-load bounds). When set, the search gallops outward
-  /// from the estimate on the same dyadic probe grid the plain bisection
-  /// refines over, so a good estimate needs ~3 probes instead of ~7. Either
-  /// search returns a local knee of the grid: a stable point (or 0) whose
-  /// next grid step up is unstable (or the point is 1.0). Where probe
-  /// outcomes are monotone in the offered rate that knee is unique and the
-  /// estimate cannot change the answer; where they are not, it can.
-  /// Negative (the default) disables the surrogate and runs the plain
-  /// bisection.
+  /// Analytic saturation estimate (e.g. from evaluate_analytic's
+  /// bisection/channel-load bounds). When >= 0 it seeds the search: the
+  /// estimate is clamped to [0, 1], rounded to the probe grid, and the
+  /// search gallops outward from that grid point, so a good estimate needs
+  /// ~3 probes instead of 7. Negative or NaN (the default) means no
+  /// estimate: the search probes the full rate and, unless that is stable,
+  /// bisects the bracket (0, 1). Either way it returns a local knee of the
+  /// grid: a stable point (or 0) whose next grid step up is unstable (or
+  /// the point is 1.0). Where probe outcomes are monotone in the offered
+  /// rate that knee is unique and the estimate cannot change the answer;
+  /// where they are not, it can.
   double surrogate_rate = -1.0;
 };
 
@@ -92,18 +96,14 @@ struct SaturationResult {
   double saturation_flit_rate = 0.0;
   /// Accepted rate measured at that offered rate.
   double accepted_flit_rate = 0.0;
-  /// Number of simulation probes run. With a parallel executor the search
-  /// speculates ahead, so this may exceed the sequential minimum even
-  /// though the returned rates are identical.
+  /// Number of simulation probes run. Sequentially, the search without an
+  /// estimate runs 7: the full-rate probe plus six bisection steps (1 when
+  /// the full rate is stable); with an estimate it runs
+  /// ~2 + log2(estimate error in grid steps). With a parallel executor the
+  /// search speculates ahead, so this may exceed the sequential count
+  /// even though the returned rates are identical.
   int probes = 0;
 };
-
-/// Canonical bit pattern of an offered-rate memo key: collapses -0.0 onto
-/// +0.0 and every NaN onto one canonical quiet NaN, so the bit-pattern
-/// hashing in find_saturation's probe memo can neither split a rate that
-/// compares equal nor alias distinct NaN payloads. Exposed for the
-/// regression tests in test_arena.
-[[nodiscard]] std::uint64_t saturation_rate_key(double rate) noexcept;
 
 /// Finds the saturation throughput the way BookSim-based studies do
 /// (Sec. VI-A): sweep the offered load for the knee of the accepted-vs-
@@ -111,12 +111,18 @@ struct SaturationResult {
 /// Overdriving a fully adaptive network far beyond saturation only measures
 /// the escape network's drain rate, not the design's usable throughput.
 ///
+/// One search over the grid k / kSaturationGridSteps: with an estimate
+/// (SaturationSearchOptions::surrogate_rate) it gallops from the estimate's
+/// grid point to a bracket; without one, the full-rate probe either returns
+/// 1.0 or opens the bracket (0, 1). Either way one bisection narrows the
+/// bracket to adjacent grid points.
+///
 /// Re-entrant: no shared mutable state, safe to call concurrently. When
-/// `executor` is non-null the search runs its independent probes in
-/// parallel, speculatively evaluating both possible next midpoints of the
-/// binary search (two levels per batch, ~2x fewer sequential probe waves);
+/// `executor` is non-null each bisection step probes its midpoint in one
+/// parallel batch with the midpoint either outcome bisects at next (and
+/// the gallop prefetches the estimate's grid point with the one above it);
 /// because each probe's result is a pure function of its offered rate, the
-/// returned result is bit-identical to the sequential search.
+/// returned rates are bit-identical to the sequential search.
 [[nodiscard]] SaturationResult find_saturation(
     const graph::Graph& g, const SimConfig& cfg,
     const SaturationSearchOptions& opts = {},

@@ -4,9 +4,7 @@
 // Every field is serialized explicitly, in a fixed order, with an explicit
 // width, little-endian (util/byte_io.hpp), so records are portable across
 // hosts and bit-exact through a round trip: doubles travel as IEEE-754 bit
-// patterns (NaN payloads and -0.0 survive — the same values
-// saturation_rate_key normalizes before memo keying must come back
-// unchanged from disk).
+// patterns, so NaN payloads and -0.0 come back unchanged from disk.
 //
 // The leading version byte gates decoding: when EvaluationResult grows or
 // changes a field, bump kResultCodecVersion and old records are rejected

@@ -6,13 +6,13 @@
 //     channel latencies (the delivery calendar's geometry), routing modes,
 //     seeds and traffic patterns — including the quiescence fast-forward
 //     (which must actually engage at low load).
-//  2. The surrogate-bracketed saturation search probes the plain
-//     bisection's dyadic grid and returns a local knee of it: a stable
-//     point (or 0) whose next grid step up is unstable (or the point is
-//     1.0). Where probe outcomes are monotone that is the plain search's
-//     answer, within a bounded probe budget when the analytic estimate is
-//     wired in; where they are not, different seeds may stop at different
-//     knees.
+//  2. The saturation search probes the fixed grid k / 64 and returns a
+//     local knee of it: a stable point (or 0) whose next grid step up is
+//     unstable (or the point is 1.0). Where probe outcomes are monotone
+//     every estimate, and no estimate, gives the same answer, within a
+//     bounded probe budget when the analytic estimate is wired in; where
+//     they are not, different seeds may stop at different knees. A
+//     parallel executor never changes the answer.
 //
 // Plus: Network::reset() clears the active-set state (the arena recycles
 // networks through reset(); stale worklists or calendar entries would
@@ -21,12 +21,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/arrangement.hpp"
 #include "core/evaluator.hpp"
+#include "explore/thread_pool.hpp"
 #include "noc/network.hpp"
 #include "noc/simulator.hpp"
 #include "noc/topology.hpp"
@@ -271,7 +273,7 @@ TEST(SurrogateSearch, SameRateAsPlainBisectionForAnyEstimate) {
   const SimConfig cfg;
   const auto opts = fast_search();
 
-  const auto plain = hm::noc::find_saturation(topo, cfg, opts);
+  const auto plain = hm::noc::find_saturation(topo, cfg, opts);  // no estimate
   ASSERT_GT(plain.saturation_flit_rate, 0.0);
 
   // Probe outcomes on this design are monotone in the rate, so any
@@ -303,9 +305,20 @@ TEST(SurrogateSearch, ProbeBudgetBounded) {
   const auto best_case = hm::noc::find_saturation(topo, cfg, exact);
   EXPECT_LE(best_case.probes, 4);
 
+  // Without an estimate the search runs the full-rate probe plus one
+  // bisection step per level of the 64-point grid: exactly 7 probes, the
+  // count sat.probes.plain.* measures. A NaN estimate means no estimate.
+  ASSERT_LT(plain.saturation_flit_rate, 1.0);
+  EXPECT_EQ(plain.probes, 7);
+  auto nan = opts;
+  nan.surrogate_rate = std::numeric_limits<double>::quiet_NaN();
+  const auto unseeded = hm::noc::find_saturation(topo, cfg, nan);
+  EXPECT_EQ(unseeded.saturation_flit_rate, plain.saturation_flit_rate);
+  EXPECT_EQ(unseeded.accepted_flit_rate, plain.accepted_flit_rate);
+  EXPECT_EQ(unseeded.probes, 7);
+
   // The analytic estimate evaluate() wires in (core/evaluator.cpp) must
-  // keep the budget at <= 6 probes — the acceptance bound — versus
-  // iterations + 1 == 7 minimum for the plain bisection.
+  // keep the budget at <= 6 probes — the acceptance bound.
   const hm::core::EvaluationParams eval_params;
   auto seeded = opts;
   seeded.surrogate_rate = hm::core::analytic_saturation_estimate(
@@ -314,6 +327,23 @@ TEST(SurrogateSearch, ProbeBudgetBounded) {
   EXPECT_EQ(pruned.saturation_flit_rate, plain.saturation_flit_rate);
   EXPECT_LE(pruned.probes, 6);
   EXPECT_LT(pruned.probes, plain.probes);
+
+  // Estimates above 1 clamp to the top of the grid: the search they run is
+  // the one 1.0 runs (scaling +inf or 1e300 unclamped overflows lround).
+  auto full = opts;
+  full.surrogate_rate = 1.0;
+  const auto at_full = hm::noc::find_saturation(topo, cfg, full);
+  for (const double estimate :
+       {2.0, 1e300, std::numeric_limits<double>::infinity()}) {
+    auto over = opts;
+    over.surrogate_rate = estimate;
+    const auto r = hm::noc::find_saturation(topo, cfg, over);
+    EXPECT_EQ(r.saturation_flit_rate, at_full.saturation_flit_rate)
+        << "estimate=" << estimate;
+    EXPECT_EQ(r.accepted_flit_rate, at_full.accepted_flit_rate)
+        << "estimate=" << estimate;
+    EXPECT_EQ(r.probes, at_full.probes) << "estimate=" << estimate;
+  }
 }
 
 TEST(SurrogateSearch, ReturnsALocalKneeWhenOutcomesAreNotMonotone) {
@@ -330,7 +360,7 @@ TEST(SurrogateSearch, ReturnsALocalKneeWhenOutcomesAreNotMonotone) {
   hm::noc::SaturationSearchOptions opts;
   opts.warmup = 500;
   opts.measure = 500;
-  const int scale = 1 << opts.iterations;
+  constexpr int scale = hm::noc::kSaturationGridSteps;
 
   std::map<int, bool> outcomes;  // grid point k -> stable at k / scale
   auto stable_at = [&](int k) {
@@ -342,18 +372,28 @@ TEST(SurrogateSearch, ReturnsALocalKneeWhenOutcomesAreNotMonotone) {
                                       opts.warmup, opts.measure);
     const bool stable = r.dropped_packets == 0 &&
                         r.accepted_flit_rate >=
-                            opts.stability * r.generated_flit_rate;
+                            hm::noc::kSaturationStability *
+                                r.generated_flit_rate;
     outcomes.emplace(k, stable);
     return stable;
   };
   ASSERT_FALSE(stable_at(31));
   ASSERT_TRUE(stable_at(32));
 
+  // Each search also runs speculatively through a 4-thread pool, which
+  // must return the sequential rate and accepted rate: the executor only
+  // changes how many probes run, even where outcomes are not monotone.
+  hm::explore::ThreadPool pool(4);
   auto search = [&](double surrogate) {
     auto sopts = opts;
     sopts.surrogate_rate = surrogate;
-    const double rate =
-        hm::noc::find_saturation(topo, cfg, sopts).saturation_flit_rate;
+    const auto seq = hm::noc::find_saturation(topo, cfg, sopts);
+    const auto par = hm::noc::find_saturation(topo, cfg, sopts, {}, &pool);
+    EXPECT_EQ(par.saturation_flit_rate, seq.saturation_flit_rate)
+        << "surrogate=" << surrogate;
+    EXPECT_EQ(par.accepted_flit_rate, seq.accepted_flit_rate)
+        << "surrogate=" << surrogate;
+    const double rate = seq.saturation_flit_rate;
     const int k = static_cast<int>(std::lround(rate * scale));
     EXPECT_EQ(static_cast<double>(k) / scale, rate)
         << "surrogate=" << surrogate << ": off the dyadic grid";
@@ -365,7 +405,7 @@ TEST(SurrogateSearch, ReturnsALocalKneeWhenOutcomesAreNotMonotone) {
     }
     return rate;
   };
-  EXPECT_EQ(search(-1.0), 0.5);  // plain bisection
+  EXPECT_EQ(search(-1.0), 0.5);  // no estimate: bracket (0, 1)
   EXPECT_EQ(search(0.4345), 0.46875);
   EXPECT_EQ(search(0.4989), 0.5);
   for (const double surrogate : {0.0, 0.25, 0.47, 0.75, 1.0}) {

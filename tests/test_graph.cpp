@@ -160,7 +160,7 @@ TEST(Bfs, SourceOutOfRangeThrows) {
   EXPECT_THROW((void)hm::graph::bfs_distances(g, 7), std::out_of_range);
 }
 
-// --- Diameter / eccentricity -------------------------------------------------
+// --- Diameter ----------------------------------------------------------------
 
 TEST(Diameter, PathGraph) {
   EXPECT_EQ(hm::graph::diameter(path_graph(10)), 9);
@@ -189,11 +189,6 @@ TEST(Diameter, DisconnectedThrows) {
   Graph g(3);
   g.add_edge(0, 1);
   EXPECT_THROW((void)hm::graph::diameter(g), std::invalid_argument);
-}
-
-TEST(Eccentricity, CenterOfPath) {
-  EXPECT_EQ(hm::graph::eccentricity(path_graph(5), 2), 2);
-  EXPECT_EQ(hm::graph::eccentricity(path_graph(5), 0), 4);
 }
 
 // --- Average distance --------------------------------------------------------
@@ -288,24 +283,6 @@ TEST(PlanarBound, AvgDegreeBoundFormula) {
                std::invalid_argument);
 }
 
-// --- All-pairs & histogram ---------------------------------------------------
-
-TEST(AllPairs, MatchesSingleSourceBfs) {
-  Graph g = grid_graph(3, 4);
-  const auto all = hm::graph::all_pairs_distances(g);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    EXPECT_EQ(all[v], hm::graph::bfs_distances(g, v));
-  }
-}
-
-TEST(DistanceHistogram, PathOfThree) {
-  const auto hist = hm::graph::distance_histogram(path_graph(3));
-  ASSERT_EQ(hist.size(), 3u);
-  EXPECT_EQ(hist[0], 3u);  // self pairs
-  EXPECT_EQ(hist[1], 2u);
-  EXPECT_EQ(hist[2], 1u);
-}
-
 TEST(Bridges, PathCycleAndBarbell) {
   // Every edge of a path is a bridge; no edge of a cycle is.
   const auto path_bridges = hm::graph::bridges(path_graph(6));
@@ -351,14 +328,6 @@ TEST(Bridges, AgreesWithPerEdgeConnectivityCheck) {
     if (!hm::graph::is_connected(h)) expected.push_back(e);
   }
   EXPECT_EQ(hm::graph::bridges(g), expected);
-}
-
-TEST(DistanceHistogram, SumsToAllPairs) {
-  Graph g = grid_graph(4, 4);
-  const auto hist = hm::graph::distance_histogram(g);
-  std::size_t total = 0;
-  for (std::size_t c : hist) total += c;
-  EXPECT_EQ(total, 16u * 17u / 2u);  // unordered pairs incl. self
 }
 
 }  // namespace

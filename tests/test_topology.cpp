@@ -114,10 +114,9 @@ TEST(TopologyContext, FindSaturationBuildsTablesOnce) {
   hm::noc::SaturationSearchOptions opts;
   opts.warmup = 300;
   opts.measure = 300;
-  opts.iterations = 4;
   const auto before = RoutingTables::lifetime_builds();
   const auto result = hm::noc::find_saturation(g, cfg, opts);
-  EXPECT_GE(result.probes, opts.iterations);  // many probes ran...
+  EXPECT_EQ(result.probes, 7);  // full rate + six bisection steps...
   EXPECT_EQ(RoutingTables::lifetime_builds(), before + 1);  // ...one build
 }
 

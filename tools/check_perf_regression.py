@@ -4,13 +4,17 @@
 Compares a freshly measured perf JSON against the committed baseline and
 fails (exit 1) when:
 
-  * a guarded metric (sim_cycle.*, sim_cycle_lowload.*, sat.probes.*, the
-    analytic half's bisection.*, diameter.* and evaluate_analytic.*, or
+  * a guarded timing (sim_cycle.*, sim_cycle_lowload.*, the analytic
+    half's bisection.*, diameter.* and evaluate_analytic.*, or
     sweep21.wall_s.t1) regressed by more than --max-regression (default
     1.25, i.e. >25% slower/worse) — direction-aware: for the
     sim_cycle_lowload.speedup.* ratios a *drop* below
-    baseline / max-regression is the failure, while for durations and
-    probe counts a rise above baseline * max-regression is, or
+    baseline / max-regression is the failure, while for durations a rise
+    above baseline * max-regression is, or
+  * a saturation-search probe count (sat.probes.*) rose above its
+    baseline at all. Probe counts are deterministic work counts, not
+    timings: the same code on any host runs the same probes, so they get
+    no headroom (7 -> 8 fails), or
   * the 8-thread sweep speedup dropped below --min-speedup-t8 (default 2.0).
 
 search.* metrics (the arrangement-search subsystem: incremental-rebuild
@@ -25,7 +29,7 @@ or, absent that key, this machine's cpu count — is below
 --min-cores-for-scaling (default 4). A 1-core CI runner measuring
 speedup.t8 ~= 1.0 is oversubscription, not a contention regression.
 
-Caveat: the guarded metrics are absolute wall-clock numbers, so the
+Caveat: the guarded timings are absolute wall-clock numbers, so the
 baseline and the fresh measurement ideally come from the same host class.
 The default 1.25x headroom absorbs typical per-core variance between CI
 runners; if the runner fleet changes for good, re-baseline the committed
@@ -46,6 +50,9 @@ GUARDED_KEYS = ("sweep21.wall_s.t1",)
 # Guarded metrics where *higher* is better (speedup ratios): a drop below
 # baseline / max-regression is the failure, not a rise above it.
 GUARDED_HIGHER_IS_BETTER = ("sim_cycle_lowload.speedup.",)
+# Guarded deterministic work counts: any rise above the baseline fails,
+# whatever --max-regression says.
+GUARDED_EXACT_COUNTS = ("sat.probes.",)
 # Compared and reported, but never fail the gate (first-PR baselines).
 # Ratio-style search metrics where *lower* is the regression direction are
 # listed separately so the warning fires the right way around.
@@ -101,17 +108,21 @@ def main():
                   f"(count; not compared)")
             continue
         ratio = fresh[key] / baseline[key] if baseline[key] > 0 else 1.0
+        limit = args.max_regression
         # For throughput/speedup-style metrics a *drop* is the regression.
         if key.startswith(WARN_HIGHER_IS_BETTER + GUARDED_HIGHER_IS_BETTER):
-            regressed = ratio < 1.0 / args.max_regression
+            regressed = ratio < 1.0 / limit
+        elif key.startswith(GUARDED_EXACT_COUNTS):
+            limit = 1.0
+            regressed = fresh[key] > baseline[key]
         else:
-            regressed = ratio > args.max_regression
+            regressed = ratio > limit
         status = "ok"
         if regressed and guarded:
             status = "REGRESSION"
             failures.append(
                 f"{key}: {baseline[key]:.6g} -> {fresh[key]:.6g} "
-                f"({ratio:.2f}x, limit {args.max_regression:.2f}x)")
+                f"({ratio:.2f}x, limit {limit:.2f}x)")
         elif regressed:
             status = "WARN (not gated yet)"
         print(f"  {key}: {baseline[key]:.6g} -> {fresh[key]:.6g} "
