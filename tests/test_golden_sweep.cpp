@@ -20,6 +20,9 @@
 // GoldenExport pins the export bytes the sweep goldens never reach (escaped
 // labels and errors, fault columns, empty inputs) on hand-built records, so
 // it runs no simulation.
+// GoldenFaults pins every kind of link fault the sweep, search and
+// fault_storm can request (single kills, a repair, a storm, a same-cycle
+// batch), evaluate()'s fault fields, and the store key of an explicit plan.
 // Regenerating: when a PR deliberately changes simulation results (e.g. a
 // new RNG stream layout), run the suite once with HM_REGEN_GOLDEN=1 — the
 // t1 instantiation rewrites tests/golden/ from a 1-thread run and every
@@ -39,6 +42,7 @@
 #include "core/arrangement.hpp"
 #include "core/evaluator.hpp"
 #include "explore/export.hpp"
+#include "explore/hash.hpp"
 #include "explore/sweep.hpp"
 #include "faults/fault_plan.hpp"
 #include "noc/simulator.hpp"
@@ -580,6 +584,153 @@ TEST(GoldenExport, EdgeCasesMatchCapture) {
   const std::string golden = read_file(path);
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(actual, golden) << "export_edge.txt diverged from the golden";
+}
+
+// --- Link faults -------------------------------------------------------------
+
+/// One resilience run reduced to its plan, its ResilienceStats, the
+/// network's flit ledger and its deterministic hot-path counters.
+std::string resilience_line(const std::string& label,
+                            const hm::graph::Graph& g,
+                            const hm::noc::SimConfig& cfg,
+                            const hm::faults::FaultPlan& plan, double rate) {
+  hm::noc::Simulator sim(g, cfg);
+  const auto s = sim.run_resilience(rate, plan, 1000, 3000);
+  const hm::noc::Network& net = sim.network();
+  char buf[768];
+  std::snprintf(
+      buf, sizeof buf,
+      "%s rate=%g plan=[%s] links_killed=%llu repairs=%llu"
+      " flits_dropped=%llu packets_lost=%llu packets_rerouted=%llu"
+      " pre_fault_rate=%.17g degraded_rate=%.17g first_kill_cycle=%lld"
+      " recovery_cycles=%lld recovered=%d injected=%llu ejected=%llu"
+      " in_network=%zu dropped=%llu",
+      label.c_str(), rate, plan.describe().c_str(),
+      static_cast<unsigned long long>(s.links_killed),
+      static_cast<unsigned long long>(s.repairs),
+      static_cast<unsigned long long>(s.flits_dropped),
+      static_cast<unsigned long long>(s.packets_lost),
+      static_cast<unsigned long long>(s.packets_rerouted), s.pre_fault_rate,
+      s.degraded_rate, static_cast<long long>(s.first_kill_cycle),
+      static_cast<long long>(s.recovery_cycles), s.recovered ? 1 : 0,
+      static_cast<unsigned long long>(net.total_flits_injected()),
+      static_cast<unsigned long long>(net.total_flits_ejected()),
+      net.flits_in_network(),
+      static_cast<unsigned long long>(net.flits_dropped()));
+  std::string why;
+  EXPECT_TRUE(net.invariants_ok(&why)) << label << ": " << why;
+  return buf + hot_stat_fields(net) + "\n";
+}
+
+/// Every shape of link fault a program in the tree can request: seeded
+/// single kills (with and without a reconvergence window, in both stepping
+/// modes), a kill plus repair, a storm, two kills in one batch, the fault
+/// fields of evaluate(), and the store key of an explicit plan.
+std::string faults_golden_capture() {
+  using hm::faults::FaultScenarioSpec;
+  std::string out;
+
+  const auto hexa37 = make_arrangement(ArrangementType::kHexaMesh, 37).graph();
+  for (const hm::noc::Cycle reconvergence : {0, 16}) {
+    FaultScenarioSpec spec;
+    spec.single_link_kills = 1;
+    spec.seed = 7;
+    spec.kill_at = 500;
+    spec.reconvergence_delay = reconvergence;
+    const auto plans = spec.plans_for(hexa37);
+    EXPECT_EQ(plans.size(), 1u);
+    for (const bool skip_idle : {true, false}) {
+      hm::noc::SimConfig cfg;
+      cfg.seed = 11;
+      cfg.skip_idle = skip_idle;
+      out += resilience_line("hexamesh-37 single reconvergence=" +
+                                 std::to_string(reconvergence) +
+                                 " skip_idle=" + std::to_string(skip_idle),
+                             hexa37, cfg, plans.front(), 0.25);
+    }
+  }
+
+  FaultScenarioSpec repair;
+  repair.single_link_kills = 1;
+  repair.seed = 3;
+  repair.kill_at = 400;
+  repair.repair_after = 800;
+  const auto grid16 = make_arrangement(ArrangementType::kGrid, 16).graph();
+  out += resilience_line("grid-16 kill+repair", grid16, hm::noc::SimConfig{},
+                         repair.plans_for(grid16).front(), 0.25);
+
+  FaultScenarioSpec storm;
+  storm.storm_kills = 4;
+  storm.seed = 5;
+  storm.kill_at = 300;
+  storm.storm_spacing = 300;
+  const auto brick25 = make_arrangement(ArrangementType::kBrickwall, 25).graph();
+  out += resilience_line("brickwall-25 storm", brick25, hm::noc::SimConfig{},
+                         storm.plans_for(brick25).front(), 0.2);
+
+  // A two-kill storm with both kills moved to the first one's cycle: the
+  // storm picks each kill on the graph left by the previous one, so the
+  // batch stays connected.
+  FaultScenarioSpec pair;
+  pair.storm_kills = 2;
+  pair.seed = 11;
+  pair.kill_at = 500;
+  const auto hexa19 = make_arrangement(ArrangementType::kHexaMesh, 19).graph();
+  hm::faults::FaultPlan batch = pair.plans_for(hexa19).front();
+  EXPECT_EQ(batch.events.size(), 2u);
+  batch.events.back().at = batch.events.front().at;
+  out += resilience_line("hexamesh-19 one-batch", hexa19, hm::noc::SimConfig{},
+                         batch, 0.25);
+
+  hm::core::EvaluationParams params;
+  params.latency_warmup = 200;
+  params.latency_measure = 400;
+  params.latency_drain_limit = 60000;
+  params.throughput_warmup = 300;
+  params.throughput_measure = 300;
+  params.faults.single_link_kills = 2;
+  params.faults.kill_at = 500;
+  params.faults.warmup = 500;
+  params.faults.measure = 2500;
+  const auto r =
+      hm::core::evaluate(make_arrangement(ArrangementType::kHexaMesh, 13),
+                         params);
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "evaluate hexamesh-13 kills=2 fault_plans_run=%zu"
+                " fault_degraded_throughput=%.17g"
+                " fault_robust_throughput_bps=%.17g"
+                " fault_recovery_cycles=%lld fault_packets_lost=%llu\n",
+                r.fault_plans_run, r.fault_degraded_throughput,
+                r.fault_robust_throughput_bps,
+                static_cast<long long>(r.fault_recovery_cycles),
+                static_cast<unsigned long long>(r.fault_packets_lost));
+  out += buf;
+
+  hm::core::EvaluationParams keyed;
+  hm::faults::FaultPlan kill_repair;
+  kill_repair.events.push_back({100, hm::faults::FaultKind::kLinkKill, 0, 1});
+  kill_repair.events.push_back({400, hm::faults::FaultKind::kLinkRepair, 0, 1});
+  kill_repair.reconvergence_delay = 8;
+  keyed.faults.explicit_plans.push_back(kill_repair);
+  std::snprintf(buf, sizeof buf,
+                "hash_simulation_params explicit kill+repair = %016llx\n",
+                static_cast<unsigned long long>(
+                    hm::explore::hash_simulation_params(keyed)));
+  out += buf;
+  return out;
+}
+
+TEST(GoldenFaults, LinkFaultRunsMatchCapture) {
+  const std::string path = std::string(HM_GOLDEN_DIR) + "/faults.txt";
+  const std::string actual = faults_golden_capture();
+  if (std::getenv("HM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+    GTEST_SKIP() << "HM_REGEN_GOLDEN set: golden rewritten, not compared";
+  }
+  const std::string golden = read_file(path);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(actual, golden) << "faults.txt diverged from the golden";
 }
 
 }  // namespace
