@@ -263,19 +263,18 @@ int main(int argc, char** argv) {
     if (!csv_path.empty()) {
       std::ofstream os(csv_path);
       if (!os) throw std::runtime_error("cannot open " + csv_path);
-      os << "plan,links_killed,routers_killed,repairs,flits_dropped,"
-            "packets_lost,packets_rerouted,packets_unroutable,"
-            "pre_fault_rate,degraded_rate,recovery_cycles,recovered\n";
+      os << "plan,links_killed,repairs,flits_dropped,packets_lost,"
+            "packets_rerouted,pre_fault_rate,degraded_rate,recovery_cycles,"
+            "recovered\n";
       for (const auto& out : outcomes) {
         const auto& s = out.stats;
         std::string what = out.what;
         for (char& c : what) {
           if (c == ',') c = ';';  // keep the CSV single-celled
         }
-        os << what << ',' << s.links_killed << ',' << s.routers_killed << ','
-           << s.repairs << ',' << s.flits_dropped << ',' << s.packets_lost
-           << ',' << s.packets_rerouted << ',' << s.packets_unroutable << ','
-           << s.pre_fault_rate << ',' << s.degraded_rate << ','
+        os << what << ',' << s.links_killed << ',' << s.repairs << ','
+           << s.flits_dropped << ',' << s.packets_lost << ','
+           << s.packets_rerouted << ',' << s.pre_fault_rate << ',' << s.degraded_rate << ','
            << s.recovery_cycles << ',' << (s.recovered ? 1 : 0) << '\n';
       }
       std::printf("per-plan results exported: %s\n", csv_path.c_str());

@@ -69,7 +69,10 @@ std::uint64_t hash_simulation_params(const core::EvaluationParams& params) {
       .mix_i(f.recovery_window)
       .mix(f.explicit_plans.size());
   for (const faults::FaultPlan& plan : f.explicit_plans) {
-    h.mix_b(plan.allow_partition)
+    // The retired FaultPlan flag that let kills partition the network
+    // (default false); mixing the literal keeps every existing store key
+    // valid.
+    h.mix_b(false)
         .mix_i(plan.reconvergence_delay)
         .mix_f(plan.recovery_threshold)
         .mix_i(plan.recovery_window)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <limits>
 
 #include "telemetry/telemetry.hpp"
@@ -27,15 +28,8 @@ void FaultController::arm(noc::Network& net, noc::Cycle now) {
   plan_.validate(base_topo_->graph());
   armed_ = true;
   arm_cycle_ = now;
-  eps_ = static_cast<std::size_t>(net.config().endpoints_per_chiplet);
-
-  const std::size_t n = base_topo_->graph().node_count();
-  alive_.assign(n, 1);
-  routable_.assign(n, 1);
   killed_links_.clear();
-  identity_topo_ = base_topo_;
-  wired_.clear();
-  for (const Edge& e : base_topo_->graph().edges()) wired_.insert(e);
+  live_topo_ = base_topo_;
 
   window_end_ = now + plan_.recovery_window;
   arm_delivered_ = net.total_flits_ejected();
@@ -71,8 +65,9 @@ void FaultController::on_tick(noc::Network& net, noc::Cycle now) {
 
 void FaultController::apply_batch(noc::Network& net, noc::Cycle now) {
   // Consume every event sharing the batch's scheduled time so simultaneous
-  // kills become one transition (one routable recompute, one excision).
+  // kills become one transition (one excision, one table rebuild).
   const noc::Cycle at = plan_.events[next_event_].at;
+  const std::set<Edge> killed_before = killed_links_;
   bool any_kill = false;
   while (next_event_ < plan_.events.size() &&
          plan_.events[next_event_].at == at) {
@@ -83,17 +78,8 @@ void FaultController::apply_batch(noc::Network& net, noc::Cycle now) {
         ++stats_.links_killed;
         any_kill = true;
         break;
-      case FaultKind::kRouterKill:
-        alive_[e.a] = 0;
-        ++stats_.routers_killed;
-        any_kill = true;
-        break;
       case FaultKind::kLinkRepair:
         killed_links_.erase(canon(e.a, e.b));
-        ++stats_.repairs;
-        break;
-      case FaultKind::kRouterRepair:
-        alive_[e.a] = 1;
         ++stats_.repairs;
         break;
     }
@@ -116,32 +102,24 @@ void FaultController::apply_batch(noc::Network& net, noc::Cycle now) {
     }
   }
 
-  // The network-facing kill/repair lists are the symmetric difference of
-  // the wired sets before/after the batch. This makes islands power down
-  // wholesale (their internal links are unwired too, so no credits can
-  // drift while they are dark) and come back fully rewired on revival.
-  const std::vector<char> routable = compute_routable();
-  const std::set<Edge> wired_after = wired_set(routable);
-  std::vector<Edge> kills;
-  std::vector<Edge> repairs;
-  for (const Edge& e : wired_) {
-    if (wired_after.count(e) == 0) kills.push_back(e);
-  }
-  for (const Edge& e : wired_after) {
-    if (wired_.count(e) == 0) repairs.push_back(e);
-  }
+  // The batch's net effect, in ascending edge order: links killed and not
+  // repaired within it are removed, links repaired and not killed again are
+  // added back.
+  noc::GraphEdit edit;
+  std::set_difference(killed_links_.begin(), killed_links_.end(),
+                      killed_before.begin(), killed_before.end(),
+                      std::back_inserter(edit.removed));
+  std::set_difference(killed_before.begin(), killed_before.end(),
+                      killed_links_.begin(), killed_links_.end(),
+                      std::back_inserter(edit.added));
 
   const noc::Network::FaultOutcome outcome =
-      net.fault_transition(kills, repairs, routable);
+      net.fault_transition(edit.removed, edit.added);
   stats_.flits_dropped += outcome.flits_dropped;
   stats_.packets_lost += outcome.packets_lost;
-  stats_.packets_flushed += outcome.packets_flushed;
   stats_.packets_rerouted += outcome.packets_rerouted;
 
-  wired_ = wired_after;
-  routable_ = routable;
-
-  const noc::DegradedRouting* view = build_view(routable);
+  const noc::DegradedRouting* view = build_view(edit);
   if (plan_.reconvergence_delay <= 0) {
     net.set_degraded_routing(view);
   } else {
@@ -149,139 +127,28 @@ void FaultController::apply_batch(noc::Network& net, noc::Cycle now) {
   }
 }
 
-std::vector<char> FaultController::compute_routable() const {
-  const graph::Graph& g = base_topo_->graph();
-  const std::size_t n = g.node_count();
-  std::vector<int> comp(n, -1);
-  std::vector<std::size_t> comp_size;
-  std::vector<NodeId> stack;
-  for (NodeId s = 0; s < n; ++s) {
-    if (alive_[s] == 0 || comp[s] >= 0) continue;
-    const int c = static_cast<int>(comp_size.size());
-    comp_size.push_back(0);
-    comp[s] = c;
-    stack.push_back(s);
-    while (!stack.empty()) {
-      const NodeId v = stack.back();
-      stack.pop_back();
-      ++comp_size[static_cast<std::size_t>(c)];
-      for (const NodeId nb : g.neighbors(v)) {
-        if (alive_[nb] == 0 || comp[nb] >= 0) continue;
-        if (killed_links_.count(canon(v, nb)) != 0) continue;
-        comp[nb] = c;
-        stack.push_back(nb);
-      }
-    }
-  }
-  // Principal component: largest; ties go to the first discovered, i.e.
-  // the one containing the lowest router id (components are found in
-  // ascending seed order).
-  int best = -1;
-  std::size_t best_size = 0;
-  for (std::size_t c = 0; c < comp_size.size(); ++c) {
-    if (comp_size[c] > best_size) {
-      best = static_cast<int>(c);
-      best_size = comp_size[c];
-    }
-  }
-  std::vector<char> routable(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    routable[v] = comp[v] >= 0 && comp[v] == best ? 1 : 0;
-  }
-  return routable;
-}
-
-std::set<FaultController::Edge> FaultController::wired_set(
-    const std::vector<char>& routable) const {
-  std::set<Edge> out;
-  for (const Edge& e : base_topo_->graph().edges()) {
-    if (routable[e.first] != 0 && routable[e.second] != 0 &&
-        killed_links_.count(e) == 0) {
-      out.insert(e);
-    }
-  }
-  return out;
-}
-
 const noc::DegradedRouting* FaultController::build_view(
-    const std::vector<char>& routable) {
-  const graph::Graph& g = base_topo_->graph();
-  const std::size_t n = g.node_count();
-  const bool all_routable = std::all_of(
-      routable.begin(), routable.end(), [](char c) { return c != 0; });
-  if (all_routable && killed_links_.empty()) {
-    identity_topo_ = base_topo_;  // back to full health
+    const noc::GraphEdit& edit) {
+  if (killed_links_.empty()) {
+    live_topo_ = base_topo_;  // back to full health
     return nullptr;
   }
+  // Same vertex set as the previous live topology, so its routing tables
+  // are rebuilt incrementally from this batch's delta.
+  live_topo_ = noc::TopologyContext::rebuild_from(live_topo_, edit);
 
+  const graph::Graph& g = base_topo_->graph();
   auto view = std::make_unique<noc::DegradedRouting>();
-  view->live_id.assign(n, noc::DegradedRouting::kDead);
-  view->port_map.resize(n);
-
-  if (all_routable) {
-    // Link-only degradation: same vertex set, so the routing tables can be
-    // rebuilt incrementally from the previous live topology (the delta is
-    // this batch's kills/repairs). After a compaction the chain is broken
-    // and the live graph is re-acquired from scratch once.
-    if (identity_topo_ == nullptr) {
-      graph::Graph live(n);
-      for (const Edge& e : g.edges()) {
-        if (killed_links_.count(e) == 0) live.add_edge(e.first, e.second);
-      }
-      identity_topo_ = noc::TopologyContext::acquire(live);
-    } else {
-      noc::GraphEdit edit;
-      const graph::Graph& prev = identity_topo_->graph();
-      for (const Edge& e : g.edges()) {
-        const bool now_wired = killed_links_.count(e) == 0;
-        const bool was_wired = prev.has_edge(e.first, e.second);
-        if (was_wired && !now_wired) edit.removed.push_back(e);
-        if (!was_wired && now_wired) edit.added.push_back(e);
-      }
-      identity_topo_ = noc::TopologyContext::rebuild_from(identity_topo_, edit);
-    }
-    view->topo = identity_topo_;
-    for (NodeId r = 0; r < n; ++r) {
-      view->live_id[r] = r;
-      const std::span<const NodeId> nbrs = g.neighbors(r);
-      for (std::size_t p = 0; p < nbrs.size(); ++p) {
-        if (killed_links_.count(canon(r, nbrs[p])) == 0) {
-          view->port_map[r].push_back(static_cast<std::uint8_t>(p));
-        }
-      }
-    }
-  } else {
-    // Compaction: routable routers are renumbered in ascending id order.
-    // The relabeling is monotone, so each live router's sorted-adjacency
-    // order is preserved and live port k maps to its k-th surviving
-    // physical neighbor — port_map below is exactly that walk.
-    identity_topo_ = nullptr;
-    std::uint32_t next = 0;
-    for (NodeId r = 0; r < n; ++r) {
-      if (routable[r] != 0) view->live_id[r] = next++;
-    }
-    if (next > 0) {
-      graph::Graph live(next);
-      for (const Edge& e : g.edges()) {
-        if (routable[e.first] != 0 && routable[e.second] != 0 &&
-            killed_links_.count(e) == 0) {
-          live.add_edge(view->live_id[e.first], view->live_id[e.second]);
-        }
-      }
-      view->topo = noc::TopologyContext::acquire(live);
-    }
-    for (NodeId r = 0; r < n; ++r) {
-      if (routable[r] == 0) continue;
-      const std::span<const NodeId> nbrs = g.neighbors(r);
-      for (std::size_t p = 0; p < nbrs.size(); ++p) {
-        if (routable[nbrs[p]] != 0 &&
-            killed_links_.count(canon(r, nbrs[p])) == 0) {
-          view->port_map[r].push_back(static_cast<std::uint8_t>(p));
-        }
+  view->topo = live_topo_;
+  view->port_map.resize(g.node_count());
+  for (NodeId r = 0; r < g.node_count(); ++r) {
+    const std::span<const NodeId> nbrs = g.neighbors(r);
+    for (std::size_t p = 0; p < nbrs.size(); ++p) {
+      if (killed_links_.count(canon(r, nbrs[p])) == 0) {
+        view->port_map[r].push_back(static_cast<std::uint8_t>(p));
       }
     }
   }
-
   views_.push_back(std::move(view));
   return views_.back().get();
 }
@@ -322,21 +189,17 @@ void FaultController::sample_recovery(const noc::Network& net,
 void FaultController::flush_telemetry() const {
   if (!telemetry::enabled()) return;
   static telemetry::Counter links_killed("fault.links_killed");
-  static telemetry::Counter routers_killed("fault.routers_killed");
   static telemetry::Counter repairs("fault.repairs");
   static telemetry::Counter flits_dropped("fault.flits_dropped");
   static telemetry::Counter packets_lost("fault.packets_lost");
   static telemetry::Counter packets_rerouted("fault.packets_rerouted");
-  static telemetry::Counter packets_unroutable("fault.packets_unroutable");
   static telemetry::Counter recoveries("fault.recoveries");
   static telemetry::Counter recovery_cycles("fault.recovery_cycles");
   links_killed.add(stats_.links_killed);
-  routers_killed.add(stats_.routers_killed);
   repairs.add(stats_.repairs);
   flits_dropped.add(stats_.flits_dropped);
   packets_lost.add(stats_.packets_lost);
   packets_rerouted.add(stats_.packets_rerouted);
-  packets_unroutable.add(stats_.packets_unroutable);
   if (stats_.recovered) {
     recoveries.add(1);
     recovery_cycles.add(static_cast<std::uint64_t>(stats_.recovery_cycles));

@@ -1,14 +1,14 @@
 // Runtime driver of one FaultPlan against a live Network.
 //
 // The controller owns the fault state machine the Network itself stays
-// ignorant of: which routers/links the plan has killed so far, which part of
-// the arrangement is still routable (the principal surviving component),
-// what the degraded routing tables look like, and when they become visible
-// to the routers (the reconvergence window). The Network only ever sees two
-// primitives — fault_transition() with explicit kill/repair/online sets, and
+// ignorant of: which links the plan has killed so far, what the degraded
+// routing tables look like, and when they become visible to the routers
+// (the reconvergence window). Every accepted plan keeps the network
+// connected, so all routers stay routable and the degraded tables cover the
+// same vertex set as the healthy ones. The Network only ever sees two
+// primitives — fault_transition() with explicit kill/repair sets, and
 // set_degraded_routing() with a prebuilt view — so every policy decision
-// (partitions, islands powering down, table-swap delays, recovery windows)
-// lives here in one place.
+// (table-swap delays, recovery windows) lives here in one place.
 //
 // Determinism: events fire at exact absolute cycles (arm cycle + event.at),
 // the Simulator's fast-forward is clamped by next_event_cycle(), and the
@@ -30,9 +30,9 @@ namespace hm::faults {
 
 /// Applies a FaultPlan's events to a Network at their scheduled cycles,
 /// rebuilds the degraded routing view after each batch (incrementally via
-/// TopologyContext::rebuild_from while the vertex set is intact), delays its
-/// installation by the plan's reconvergence window, and samples the
-/// delivered-rate windows that define the recovery metrics.
+/// TopologyContext::rebuild_from), delays its installation by the plan's
+/// reconvergence window, and samples the delivered-rate windows that define
+/// the recovery metrics.
 class FaultController {
  public:
   explicit FaultController(FaultPlan plan);
@@ -51,14 +51,6 @@ class FaultController {
   /// Runs everything due at `now`. Must be called at the top of each
   /// processed tick, before traffic generation and the network step.
   void on_tick(noc::Network& net, noc::Cycle now);
-
-  /// True when both endpoints of a generated packet lie on routable
-  /// routers. The Simulator suppresses (and counts) the rest.
-  [[nodiscard]] bool packet_routable(const noc::Packet& p) const noexcept {
-    return routable_[p.src_endpoint / eps_] != 0 &&
-           routable_[p.dst_endpoint / eps_] != 0;
-  }
-  void note_unroutable_packet() noexcept { ++stats_.packets_unroutable; }
 
   [[nodiscard]] const ResilienceStats& stats() const noexcept {
     return stats_;
@@ -80,38 +72,28 @@ class FaultController {
 
   void apply_batch(noc::Network& net, noc::Cycle now);
   void sample_recovery(const noc::Network& net, noc::Cycle now);
-  /// Routable = alive and inside the principal (largest, lowest-id on
-  /// ties) component of the live graph.
-  [[nodiscard]] std::vector<char> compute_routable() const;
-  /// Edges that should carry traffic given `routable`: present in the base
-  /// graph, not killed, both endpoints routable.
-  [[nodiscard]] std::set<Edge> wired_set(
-      const std::vector<char>& routable) const;
   /// Builds (and keeps alive) the degraded view matching the current fault
-  /// state; nullptr when the network is back to full health.
+  /// state, `edit` being the batch that led there; nullptr when the network
+  /// is back to full health.
   [[nodiscard]] const noc::DegradedRouting* build_view(
-      const std::vector<char>& routable);
+      const noc::GraphEdit& edit);
 
   FaultPlan plan_;
   bool armed_ = false;
   noc::Cycle arm_cycle_ = 0;
   std::size_t next_event_ = 0;  ///< into plan_.events
-  std::size_t eps_ = 1;         ///< endpoints per chiplet
 
   std::shared_ptr<const noc::TopologyContext> base_topo_;
-  std::vector<char> alive_;    ///< per router: not explicitly killed
   std::set<Edge> killed_links_;
-  std::vector<char> routable_;
-  std::set<Edge> wired_;       ///< edges currently carrying traffic
 
   /// Views installed (or pending) on the network; the routers borrow raw
   /// pointers into these, so they live until the controller dies.
   std::vector<std::unique_ptr<noc::DegradedRouting>> views_;
   std::vector<PendingSwap> swaps_;  ///< monotone `at` (constant delay)
   std::size_t next_swap_ = 0;
-  /// Incremental rebuild chain while the vertex set is intact; null after
-  /// a compaction (re-seeded from scratch on the next link-only state).
-  std::shared_ptr<const noc::TopologyContext> identity_topo_;
+  /// The base graph minus killed_links_, each batch's topology rebuilt
+  /// incrementally from the previous one.
+  std::shared_ptr<const noc::TopologyContext> live_topo_;
 
   // Recovery sampling: fixed windows [arm + k*W, arm + (k+1)*W), closed
   // lazily from the monotone delivered-flit counter.

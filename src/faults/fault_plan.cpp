@@ -28,24 +28,6 @@ using graph::NodeId;
          std::string(to_string(e.kind)) + " @" + std::to_string(e.at) + ")";
 }
 
-/// Connectivity of the subgraph induced on alive vertices (dead vertices
-/// sit isolated in `work`, so a plain is_connected would always fail).
-[[nodiscard]] bool live_connected(const graph::Graph& work,
-                                  const std::vector<char>& alive) {
-  std::vector<NodeId> id(work.node_count(), graph::kInvalidNode);
-  NodeId next = 0;
-  for (NodeId v = 0; v < work.node_count(); ++v) {
-    if (alive[v]) id[v] = next++;
-  }
-  graph::Graph live(next);
-  for (const auto& [a, b] : work.edges()) {
-    if (id[a] != graph::kInvalidNode && id[b] != graph::kInvalidNode) {
-      live.add_edge(id[a], id[b]);
-    }
-  }
-  return graph::is_connected(live);
-}
-
 [[nodiscard]] std::string fmt_rate(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", v);
@@ -58,12 +40,8 @@ const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kLinkKill:
       return "kill-link";
-    case FaultKind::kRouterKill:
-      return "kill-router";
     case FaultKind::kLinkRepair:
       return "repair-link";
-    case FaultKind::kRouterRepair:
-      return "repair-router";
   }
   return "?";
 }
@@ -84,14 +62,11 @@ void FaultPlan::validate(const graph::Graph& g) const {
 
   const std::size_t n = g.node_count();
   graph::Graph work = g;
-  std::vector<char> alive(n, 1);
   std::set<std::pair<NodeId, NodeId>> killed_links;
   noc::Cycle prev_at = 0;
 
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
-    const bool link_event = e.kind == FaultKind::kLinkKill ||
-                            e.kind == FaultKind::kLinkRepair;
     if (e.at < 0) {
       throw std::invalid_argument(event_label(i, e) + ": negative time");
     }
@@ -101,22 +76,17 @@ void FaultPlan::validate(const graph::Graph& g) const {
           std::to_string(prev_at) + ")");
     }
     prev_at = e.at;
-    if (e.a >= n || (link_event && e.b >= n)) {
+    if (e.a >= n || e.b >= n) {
       throw std::invalid_argument(event_label(i, e) +
                                   ": router id out of range (graph has " +
                                   std::to_string(n) + " nodes)");
     }
-    if (link_event && e.a == e.b) {
+    if (e.a == e.b) {
       throw std::invalid_argument(event_label(i, e) + ": self-loop link");
     }
 
     switch (e.kind) {
       case FaultKind::kLinkKill: {
-        if (!alive[e.a] || !alive[e.b]) {
-          throw std::invalid_argument(
-              event_label(i, e) + ": link " + link_name(e.a, e.b) +
-              " touches an already-killed router");
-        }
         if (!work.has_edge(e.a, e.b)) {
           if (killed_links.count(canon(e.a, e.b)) != 0) {
             throw std::invalid_argument(event_label(i, e) +
@@ -127,64 +97,23 @@ void FaultPlan::validate(const graph::Graph& g) const {
                                       link_name(e.a, e.b) +
                                       " in the arrangement graph");
         }
-        if (!allow_partition) {
-          const auto br = graph::bridges(work);
-          if (std::binary_search(br.begin(), br.end(), canon(e.a, e.b))) {
-            throw std::invalid_argument(
-                event_label(i, e) + ": killing bridge link " +
-                link_name(e.a, e.b) +
-                " would disconnect the network (set allow_partition to "
-                "permit degraded islands)");
-          }
+        const auto br = graph::bridges(work);
+        if (std::binary_search(br.begin(), br.end(), canon(e.a, e.b))) {
+          throw std::invalid_argument(
+              event_label(i, e) + ": killing bridge link " +
+              link_name(e.a, e.b) + " would disconnect the network");
         }
         work.remove_edge(e.a, e.b);
         killed_links.insert(canon(e.a, e.b));
         break;
       }
-      case FaultKind::kRouterKill: {
-        if (!alive[e.a]) {
-          throw std::invalid_argument(event_label(i, e) +
-                                      ": duplicate kill of router " +
-                                      std::to_string(e.a));
-        }
-        const std::span<const NodeId> nbrs = work.neighbors(e.a);
-        const std::vector<NodeId> to_cut(nbrs.begin(), nbrs.end());
-        for (const NodeId nb : to_cut) work.remove_edge(e.a, nb);
-        alive[e.a] = 0;
-        if (!allow_partition && !live_connected(work, alive)) {
-          throw std::invalid_argument(
-              event_label(i, e) + ": killing router " + std::to_string(e.a) +
-              " would disconnect the network (set allow_partition to "
-              "permit degraded islands)");
-        }
-        break;
-      }
       case FaultKind::kLinkRepair: {
-        if (!alive[e.a] || !alive[e.b]) {
-          throw std::invalid_argument(
-              event_label(i, e) + ": link " + link_name(e.a, e.b) +
-              " touches a killed router (repair the router first)");
-        }
         if (killed_links.erase(canon(e.a, e.b)) == 0) {
           throw std::invalid_argument(event_label(i, e) + ": link " +
                                       link_name(e.a, e.b) +
                                       " is not killed at that time");
         }
         work.add_edge(e.a, e.b);
-        break;
-      }
-      case FaultKind::kRouterRepair: {
-        if (alive[e.a]) {
-          throw std::invalid_argument(event_label(i, e) + ": router " +
-                                      std::to_string(e.a) +
-                                      " is not killed at that time");
-        }
-        alive[e.a] = 1;
-        for (const NodeId nb : g.neighbors(e.a)) {
-          if (alive[nb] && killed_links.count(canon(e.a, nb)) == 0) {
-            work.add_edge(e.a, nb);
-          }
-        }
         break;
       }
     }
@@ -198,11 +127,7 @@ std::string FaultPlan::describe() const {
     if (!s.empty()) s += "; ";
     s += to_string(e.kind);
     s += ' ';
-    s += std::to_string(e.a);
-    if (e.kind == FaultKind::kLinkKill || e.kind == FaultKind::kLinkRepair) {
-      s += '-';
-      s += std::to_string(e.b);
-    }
+    s += link_name(e.a, e.b);
     s += " @";
     s += std::to_string(e.at);
   }

@@ -1,14 +1,13 @@
 // Fault injection plans for the cycle-accurate NoC simulator.
 //
-// A FaultPlan is a validated schedule of link-kill / router-kill / repair
-// events applied to a running Network (paper context: a D2D link or a whole
-// chiplet router dying mid-run). Validation replays the schedule against the
-// arrangement graph up front and rejects, with a precise message, anything
-// the runtime could not apply deterministically: unordered times, ids out of
-// range, duplicate kills, repairs of healthy components, and — unless
-// `allow_partition` is set — any cut that would disconnect endpoints
-// (detected via graph::bridges for link kills and a live-subgraph
-// connectivity check for router kills).
+// A FaultPlan is a validated schedule of link-kill / link-repair events
+// applied to a running Network (paper context: a D2D link dying mid-run).
+// Validation replays the schedule against the arrangement graph up front and
+// rejects, with a precise message, anything the runtime could not apply
+// deterministically: unordered times, ids out of range, duplicate kills,
+// repairs of healthy links, and any kill of a bridge (graph::bridges), which
+// would disconnect the network. So every accepted plan keeps all routers
+// connected and routable, before and after each event.
 //
 // A FaultScenarioSpec is the search/sweep-facing wrapper: instead of fixing
 // concrete events (which would bind to one graph), it deterministically
@@ -27,19 +26,18 @@
 
 namespace hm::faults {
 
+/// Explicit plans hash these values into store keys (explore/hash.cpp), so
+/// the numbers are fixed; 1 and 3 are unused.
 enum class FaultKind : std::uint8_t {
-  kLinkKill,
-  kRouterKill,
-  kLinkRepair,
-  kRouterRepair,
+  kLinkKill = 0,
+  kLinkRepair = 2,
 };
 
 [[nodiscard]] const char* to_string(FaultKind kind);
 
 /// One scheduled fault event. `at` counts cycles from the instant the plan
 /// is armed on a run (run start), not absolute simulation time, so a plan
-/// is reusable across runs. Link events use both endpoints {a, b}; router
-/// events use `a` only.
+/// is reusable across runs. {a, b} are the routers at the link's two ends.
 struct FaultEvent {
   noc::Cycle at = 0;
   FaultKind kind = FaultKind::kLinkKill;
@@ -53,12 +51,6 @@ struct FaultEvent {
 /// network reacts (reconvergence) and how recovery is measured.
 struct FaultPlan {
   std::vector<FaultEvent> events;
-
-  /// Permit cuts that disconnect the network. Routers outside the largest
-  /// surviving component fall silent (their endpoints stop injecting and
-  /// traffic addressed to them is dropped/suppressed), mirroring the
-  /// router-kill semantics.
-  bool allow_partition = false;
 
   /// Cycles between a topology change and the swap to freshly rebuilt
   /// routing tables. During the window routers run on stale tables; heads
@@ -88,21 +80,15 @@ struct FaultPlan {
 /// delivered flits/cycle/endpoint, comparable to ThroughputResult rates.
 struct ResilienceStats {
   std::uint64_t links_killed = 0;
-  std::uint64_t routers_killed = 0;
   std::uint64_t repairs = 0;
   /// In-network flits excised by kills (never silently leaked: conservation
   /// is injected == ejected + in-network + dropped, pinned by test_faults).
   std::uint64_t flits_dropped = 0;
   /// Distinct in-flight packets excised by kills.
   std::uint64_t packets_lost = 0;
-  /// Source-queue packets removed before injection (dead source or dead
-  /// destination) — lost offered load, but no flits ever entered the net.
-  std::uint64_t packets_flushed = 0;
   /// Heads holding a route toward a killed port with zero flits sent:
   /// their allocation is revoked and they re-route on the degraded tables.
   std::uint64_t packets_rerouted = 0;
-  /// Generated packets suppressed because src or dst endpoint was dead.
-  std::uint64_t packets_unroutable = 0;
 
   double pre_fault_rate = 0.0;  ///< last full window before the first kill
   double degraded_rate = 0.0;   ///< worst post-kill window before recovery

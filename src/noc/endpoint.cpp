@@ -24,8 +24,7 @@ void Endpoint::wire_injection(FlitChannel* channel, int latency) {
 }
 
 bool Endpoint::try_enqueue(const Packet& p) {
-  if (!alive_ ||
-      queue_.size() >= static_cast<std::size_t>(cfg_.source_queue_capacity)) {
+  if (queue_.size() >= static_cast<std::size_t>(cfg_.source_queue_capacity)) {
     return false;
   }
   assert(p.src_endpoint == id_);
@@ -113,7 +112,6 @@ void Endpoint::reset() {
   sink_ = SinkStats{};
   window_begin_ = 0;
   window_end_ = std::numeric_limits<Cycle>::min();
-  alive_ = true;
 }
 
 void Endpoint::fault_refund_credit(int vc) {
@@ -124,33 +122,6 @@ void Endpoint::fault_refund_credit(int vc) {
 void Endpoint::fault_abort_active() {
   assert(next_flit_ > 0 && !queue_.empty());
   queue_.pop_front();
-  active_vc_ = -1;
-  next_flit_ = 0;
-}
-
-std::size_t Endpoint::fault_flush_queue(
-    const std::function<bool(const Packet&)>& drop) {
-  if (queue_.empty()) return 0;
-  std::size_t removed = 0;
-  if (next_flit_ > 0 && drop(queue_.front())) {
-    fault_abort_active();  // pops the front; its injected flits are excised
-    ++removed;
-  }
-  RingQueue<Packet> kept;
-  kept.reserve(static_cast<std::size_t>(cfg_.source_queue_capacity));
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (drop(queue_[i])) {
-      ++removed;
-    } else {
-      kept.push_back(queue_[i]);
-    }
-  }
-  queue_ = std::move(kept);
-  return removed;
-}
-
-void Endpoint::fault_reset_flow_state() {
-  credits_.assign(cfg_.vcs, cfg_.buffer_depth);
   active_vc_ = -1;
   next_flit_ = 0;
 }

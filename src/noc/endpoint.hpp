@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -82,11 +81,6 @@ class Endpoint {
 
   // --- Fault-injection hooks (cold path; driven by Network) -----------------
 
-  /// False after the endpoint's router was killed: try_enqueue refuses and
-  /// the Simulator suppresses generated traffic touching the endpoint.
-  [[nodiscard]] bool alive() const noexcept { return alive_; }
-  void fault_set_alive(bool alive) noexcept { alive_ = alive; }
-
   /// Refunds one injection credit (upstream side of an excised flit).
   void fault_refund_credit(int vc);
 
@@ -102,16 +96,6 @@ class Endpoint {
   /// already-injected flits are the caller's to excise; the rest never
   /// existed on the wire).
   void fault_abort_active();
-
-  /// Removes every queued packet `drop` approves (aborting the active
-  /// serialization if the front packet matches). Returns the number
-  /// removed — offered load lost before injection.
-  std::size_t fault_flush_queue(const std::function<bool(const Packet&)>& drop);
-
-  /// Restores the flow-control state of a killed/repaired endpoint to the
-  /// fresh-build state (full credits, no active packet). Queue and
-  /// statistics are untouched.
-  void fault_reset_flow_state();
 
  private:
   std::uint16_t id_;
@@ -130,7 +114,6 @@ class Endpoint {
   SinkStats sink_;
   Cycle window_begin_ = 0;
   Cycle window_end_ = std::numeric_limits<Cycle>::min();
-  bool alive_ = true;  ///< cleared when the endpoint's router is killed
 };
 
 }  // namespace hm::noc

@@ -347,8 +347,7 @@ void Network::reset() {
       routers_[router].wire_output(port, &ep_channels_[e].ejection,
                                    cfg_.ejection_link_latency);
     }
-    for (auto& r : routers_) r.set_degraded(nullptr, nullptr, nullptr);
-    router_online_.clear();
+    for (auto& r : routers_) r.set_degraded(nullptr, nullptr);
     flits_dropped_ = 0;
     fault_dirty_ = false;
   }
@@ -379,14 +378,10 @@ void Network::reset() {
 
 Network::FaultOutcome Network::fault_transition(
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& kill_links,
-    const std::vector<std::pair<graph::NodeId, graph::NodeId>>& repair_links,
-    const std::vector<char>& router_online) {
-  assert(router_online.size() == routers_.size());
+    const std::vector<std::pair<graph::NodeId, graph::NodeId>>&
+        repair_links) {
   fault_dirty_ = true;
   const std::size_t n = routers_.size();
-  const std::size_t eps = static_cast<std::size_t>(cfg_.endpoints_per_chiplet);
-  if (router_online_.empty()) router_online_.assign(n, 1);
-  const std::vector<char> was_online = router_online_;
   FaultOutcome out;
 
   auto find_directed = [&](graph::NodeId from,
@@ -426,73 +421,46 @@ Network::FaultOutcome Network::fault_transition(
     ba.credits.clear();
   }
 
-  // 2. Routers going offline poison everything they hold, everything on
-  // their endpoint channels, and every packet their endpoints are mid-way
-  // through serializing (the source dies: the tail would never follow).
-  for (graph::NodeId r = 0; r < n; ++r) {
-    if (was_online[r] == 0 || router_online[r] != 0) continue;
-    routers_[r].fault_collect_all(&poison_list);
-    for (std::size_t local = 0; local < eps; ++local) {
-      const std::size_t e = r * eps + local;
-      const auto harvest = [&](const Flit& f) {
-        poison_list.push_back(f.packet_id);
-      };
-      ep_channels_[e].injection.for_each(harvest);
-      ep_channels_[e].ejection.for_each(harvest);
-      const std::int64_t mid = endpoints_[e].mid_serialization_packet();
-      if (mid >= 0) poison_list.push_back(static_cast<std::uint32_t>(mid));
-    }
-  }
-
-  // 3. Committed wormholes pointed at a freshly dead port: their bodies
+  // 2. Committed wormholes pointed at a freshly dead port: their bodies
   // are severed too (zero-progress allocations re-route instead).
   for (graph::NodeId r = 0; r < n; ++r) {
-    if (router_online[r] != 0 && !dead_port[r].empty()) {
+    if (!dead_port[r].empty()) {
       routers_[r].fault_collect_committed(
           [&](std::size_t p) { return dead_port[r][p] != 0; }, &poison_list);
     }
   }
 
-  // 4. Poison predicate: harvested ids plus anything destined to an
-  // offline router (its sink can never eject it).
+  // 3. Poison predicate: the harvested packet ids.
   std::sort(poison_list.begin(), poison_list.end());
   poison_list.erase(std::unique(poison_list.begin(), poison_list.end()),
                     poison_list.end());
   auto poisoned = [&](std::uint32_t pid) {
-    if (std::binary_search(poison_list.begin(), poison_list.end(), pid)) {
-      return true;
-    }
-    const std::size_t dst = packets_[pid].dst_endpoint / eps;
-    return router_online[dst] == 0;
+    return std::binary_search(poison_list.begin(), poison_list.end(), pid);
   };
   std::vector<std::uint32_t> lost;  // packets losing >= 1 flit (dedup below)
 
-  // 5. Excise poisoned flits from the link channels, refunding the
+  // 4. Excise poisoned flits from the link channels, refunding the
   // upstream output-VC credit unless that port died with the flit.
   for (auto& link : links_) {
     out.flits_dropped += link.flits.remove_if([&](const Flit& f) {
       if (!poisoned(f.packet_id)) return false;
       lost.push_back(f.packet_id);
-      if (router_online[link.from] != 0 &&
-          !is_dead_port(link.from, link.out_port_at_from)) {
+      if (!is_dead_port(link.from, link.out_port_at_from)) {
         routers_[link.from].fault_refund_credit(link.out_port_at_from, f.vc);
       }
       return true;
     });
   }
 
-  // 6. Endpoint channels: poisoned injections refund the source endpoint's
+  // 5. Endpoint channels: poisoned injections refund the source endpoint's
   // credits, poisoned ejections just vanish (ejection credits are
-  // effectively infinite). Dead endpoints also lose in-flight credit
-  // returns — their flow state is rebuilt from scratch below.
+  // effectively infinite).
   for (std::size_t e = 0; e < endpoints_.size(); ++e) {
-    const std::size_t r = e / eps;
     EndpointChannels& chans = ep_channels_[e];
-    const bool ep_online = router_online[r] != 0;
     out.flits_dropped += chans.injection.remove_if([&](const Flit& f) {
       if (!poisoned(f.packet_id)) return false;
       lost.push_back(f.packet_id);
-      if (ep_online) endpoints_[e].fault_refund_credit(f.vc);
+      endpoints_[e].fault_refund_credit(f.vc);
       return true;
     });
     out.flits_dropped += chans.ejection.remove_if([&](const Flit& f) {
@@ -500,29 +468,19 @@ Network::FaultOutcome Network::fault_transition(
       lost.push_back(f.packet_id);
       return true;
     });
-    if (!ep_online) chans.inj_credits.clear();
   }
 
-  // 7. Excise router-buffered state; refunds go to the physical upstream
+  // 6. Excise router-buffered state; refunds go to the physical upstream
   // hop of the input port each removed flit sat behind.
   for (graph::NodeId r = 0; r < n; ++r) {
-    if (was_online[r] == 0 && router_online[r] == 0) continue;  // drained
-    const bool online_r = router_online[r] != 0;
-    const auto dead_out = [&](std::size_t p) {
-      return !online_r || is_dead_port(r, p);
-    };
     const auto refund = [&](std::size_t in_port, int vc) {
       const std::uint32_t entry = in_credit_entry_[r][in_port];
       if ((entry >> kKindShift) == kInjCredit) {
-        const std::size_t e = entry & kIndexMask;
-        if (router_online[e / eps] != 0) {
-          endpoints_[e].fault_refund_credit(vc);
-        }
+        endpoints_[entry & kIndexMask].fault_refund_credit(vc);
         return;
       }
       const RouterLink& up = links_[entry & kIndexMask];
-      if (router_online[up.from] != 0 &&
-          !is_dead_port(up.from, up.out_port_at_from)) {
+      if (!is_dead_port(up.from, up.out_port_at_from)) {
         routers_[up.from].fault_refund_credit(up.out_port_at_from, vc);
       }
     };
@@ -532,45 +490,22 @@ Network::FaultOutcome Network::fault_transition(
           lost.push_back(pid);
           return true;
         },
-        dead_out, refund);
+        [&](std::size_t p) { return is_dead_port(r, p); }, refund);
     out.flits_dropped += ex.flits_removed;
     out.packets_rerouted += ex.packets_rerouted;
   }
 
-  // 8. Endpoints: abort poisoned mid-serializations, flush queued packets
-  // that lost their destination, and power endpoint state up/down with
-  // their router.
-  for (std::size_t e = 0; e < endpoints_.size(); ++e) {
-    const std::size_t r = e / eps;
-    Endpoint& ep = endpoints_[e];
-    if (router_online[r] != 0) {
-      if (was_online[r] == 0) {  // router repaired: endpoint revives
-        ep.fault_set_alive(true);
-        ep.fault_reset_flow_state();
-        continue;
-      }
-      const std::int64_t mid = ep.mid_serialization_packet();
-      if (mid >= 0 && poisoned(static_cast<std::uint32_t>(mid))) {
-        lost.push_back(static_cast<std::uint32_t>(mid));
-        ep.fault_abort_active();
-      }
-      out.packets_flushed += ep.fault_flush_queue([&](const Packet& p) {
-        return router_online[p.dst_endpoint / eps] == 0;
-      });
-    } else if (was_online[r] != 0) {  // router died: endpoint goes dark
-      const std::int64_t mid = ep.mid_serialization_packet();
-      if (mid >= 0) {
-        lost.push_back(static_cast<std::uint32_t>(mid));
-        ep.fault_abort_active();
-      }
-      out.packets_flushed += ep.fault_flush_queue(
-          [](const Packet&) { return true; });
-      ep.fault_set_alive(false);
-      ep.fault_reset_flow_state();
+  // 7. Endpoints abort poisoned mid-serializations: the rest of such a
+  // packet would follow a head that no longer exists.
+  for (Endpoint& ep : endpoints_) {
+    const std::int64_t mid = ep.mid_serialization_packet();
+    if (mid >= 0 && poisoned(static_cast<std::uint32_t>(mid))) {
+      lost.push_back(static_cast<std::uint32_t>(mid));
+      ep.fault_abort_active();
     }
   }
 
-  // 9. Repairs: the channels drained at kill time; rewire both sides.
+  // 8. Repairs: the channels drained at kill time; rewire both sides.
   for (const auto& [a, b] : repair_links) {
     RouterLink& ab = find_directed(a, b);
     RouterLink& ba = find_directed(b, a);
@@ -583,13 +518,12 @@ Network::FaultOutcome Network::fault_transition(
                                    cfg_.link_latency);
   }
 
-  router_online_ = router_online;
   flits_dropped_ += out.flits_dropped;
   std::sort(lost.begin(), lost.end());
   out.packets_lost = static_cast<std::uint64_t>(
       std::unique(lost.begin(), lost.end()) - lost.begin());
 
-  // 10. The worklists may now both overstate (drained components) and
+  // 9. The worklists may now both overstate (drained components) and
   // understate (revoked heads whose router drained its channels) the
   // active set, and the calendar still names excised payloads; re-derive
   // them exactly from what is left.
@@ -600,11 +534,10 @@ Network::FaultOutcome Network::fault_transition(
 void Network::set_degraded_routing(const DegradedRouting* dr) {
   fault_dirty_ = true;
   for (std::size_t r = 0; r < routers_.size(); ++r) {
-    if (dr == nullptr || dr->live_id[r] == DegradedRouting::kDead) {
-      routers_[r].set_degraded(nullptr, nullptr, nullptr);
+    if (dr == nullptr) {
+      routers_[r].set_degraded(nullptr, nullptr);
     } else {
-      routers_[r].set_degraded(&dr->topo->tables(), dr->live_id.data(),
-                               dr->port_map[r].data());
+      routers_[r].set_degraded(&dr->topo->tables(), dr->port_map[r].data());
     }
   }
 }

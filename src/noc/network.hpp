@@ -31,17 +31,14 @@
 
 namespace hm::noc {
 
-/// Degraded routing view installed after faults: routing tables built on the
-/// post-fault live graph, plus the translations back to the physical
-/// network. `live_id` maps physical router ids to live-graph ids (kDead for
-/// offline routers); `port_map[r]` maps a live-graph port of router r back
-/// to the physical port index. Built and owned by the fault controller; the
+/// Degraded routing view installed after link faults: routing tables built
+/// on the post-fault live graph, which keeps every router and its id, plus
+/// `port_map[r]`, mapping a live-graph port of router r back to the
+/// physical port index. Built and owned by the fault controller; the
 /// Network borrows it and pushes the per-router raw pointers down (it must
 /// outlive the installation).
 struct DegradedRouting {
-  static constexpr std::uint32_t kDead = 0xFFFFFFFFu;
   std::shared_ptr<const TopologyContext> topo;
-  std::vector<std::uint32_t> live_id;
   std::vector<std::vector<std::uint8_t>> port_map;
 };
 
@@ -157,35 +154,26 @@ class Network {
   struct FaultOutcome {
     std::uint64_t flits_dropped = 0;     ///< flits excised network-wide
     std::uint64_t packets_lost = 0;      ///< distinct packets losing flits
-    std::uint64_t packets_flushed = 0;   ///< queued packets dropped unsent
     std::uint64_t packets_rerouted = 0;  ///< committed heads sent back to VA
   };
 
-  /// Applies one batch of simultaneous fault events. `kill_links` /
+  /// Applies one batch of simultaneous link faults. `kill_links` /
   /// `repair_links` are undirected physical edges (currently wired /
-  /// currently killed respectively); `router_online` is the full
-  /// post-transition routable set (size num_routers) — routers leaving it
-  /// are powered off wholesale (state excised, endpoints dead), routers
-  /// re-entering come back with fresh flow state. In-flight flits of
-  /// severed or unroutable packets are excised deterministically with
-  /// upstream credits refunded, zero-progress allocations toward dead
-  /// ports are revoked for re-routing, and the active-set worklists and
-  /// delivery calendar are rebuilt exactly. Install the matching
-  /// DegradedRouting separately (possibly later: reconvergence window).
+  /// currently killed respectively); the caller keeps the network
+  /// connected, so every router stays online. In-flight flits of severed
+  /// packets are excised deterministically with upstream credits refunded,
+  /// zero-progress allocations toward dead ports are revoked for
+  /// re-routing, and the active-set worklists and delivery calendar are
+  /// rebuilt exactly. Install the matching DegradedRouting separately
+  /// (possibly later: reconvergence window).
   FaultOutcome fault_transition(
       const std::vector<std::pair<graph::NodeId, graph::NodeId>>& kill_links,
-      const std::vector<std::pair<graph::NodeId, graph::NodeId>>& repair_links,
-      const std::vector<char>& router_online);
+      const std::vector<std::pair<graph::NodeId, graph::NodeId>>&
+          repair_links);
 
   /// Installs (nullptr: clears) the degraded routing view on every router.
   void set_degraded_routing(const DegradedRouting* dr);
 
-  [[nodiscard]] bool endpoint_alive(std::size_t e) const {
-    return endpoints_[e].alive();
-  }
-  [[nodiscard]] bool router_online(graph::NodeId r) const {
-    return router_online_.empty() || router_online_[r] != 0;
-  }
   /// Flits excised by fault transitions since construction/reset.
   [[nodiscard]] std::uint64_t flits_dropped() const noexcept {
     return flits_dropped_;
@@ -308,8 +296,7 @@ class Network {
   std::vector<std::vector<std::uint32_t>> out_flit_entry_;
   std::vector<std::vector<std::uint32_t>> in_credit_entry_;
 
-  // --- Fault state (empty/zero until the first fault_transition) ----------
-  std::vector<char> router_online_;     ///< empty == everything online
+  // --- Fault state (zero until the first fault_transition) ----------------
   std::uint64_t flits_dropped_ = 0;     ///< excised flits (conservation)
   bool fault_dirty_ = false;            ///< reset() must rewind fault wiring
 

@@ -173,15 +173,12 @@ bool Router::try_allocate_vc(InputVc& iv, int iv_flat) {
 
   const bool use_minimal = cfg_.routing != RoutingMode::kUpDownOnly &&
                            !head.escape && cfg_.vcs > 1;
+  // Degraded view installed (mid-fault): route on the tables rebuilt for
+  // the live graph, whose ports are translated back to the physical port
+  // numbering. Healthy runs pay one perfectly-predicted null check.
+  const RoutingTables* tables = deg_tables_ == nullptr ? tables_ : deg_tables_;
   if (use_minimal) {
-    // Degraded view installed (mid-fault): route on the rebuilt tables with
-    // ids translated to the live subgraph and ports translated back to the
-    // physical port numbering. Healthy runs pay one perfectly-predicted
-    // null check.
-    const auto ports =
-        deg_tables_ == nullptr
-            ? tables_->minimal_ports(id_, dst)
-            : deg_tables_->minimal_ports(deg_live_[id_], deg_live_[dst]);
+    const auto ports = tables->minimal_ports(id_, dst);
     std::size_t first = 0;
     std::size_t count = ports.size();
     if (cfg_.routing == RoutingMode::kDeterministicMinimal) {
@@ -225,14 +222,8 @@ bool Router::try_allocate_vc(InputVc& iv, int iv_flat) {
   const bool allow_escape =
       !use_minimal || iv.blocked_cycles >= cfg_.escape_threshold;
   if (allow_escape) {
-    EscapeHop hop;
-    if (deg_tables_ == nullptr) {
-      hop = tables_->escape_hop(id_, dst, head.ud_phase);
-    } else {
-      hop = deg_tables_->escape_hop(deg_live_[id_], deg_live_[dst],
-                                    head.ud_phase);
-      hop.port = deg_port_map_[hop.port];
-    }
+    EscapeHop hop = tables->escape_hop(id_, dst, head.ud_phase);
+    if (deg_port_map_ != nullptr) hop.port = deg_port_map_[hop.port];
     // During a reconvergence window the stale escape hop can aim at a
     // killed port; a detached channel means "wait for the table swap"
     // (blocked, not allocated), never a push into a dead link.
@@ -459,10 +450,8 @@ std::size_t Router::buffered_flits() const {
 }
 
 void Router::set_degraded(const RoutingTables* tables,
-                          const std::uint32_t* live_id,
                           const std::uint8_t* port_map) {
   deg_tables_ = tables;
-  deg_live_ = live_id;
   deg_port_map_ = port_map;
 }
 
@@ -508,15 +497,6 @@ void Router::fault_collect_committed(
         dead_out(static_cast<std::size_t>(iv.out_port))) {
       out->push_back(iv.cur_packet);
     }
-  }
-}
-
-void Router::fault_collect_all(std::vector<std::uint32_t>* out) const {
-  for (const InputVc& iv : in_) {
-    for (std::size_t i = 0; i < iv.buf.size(); ++i) {
-      out->push_back(iv.buf[i].flit.packet_id);
-    }
-    if (iv.state != VcState::kIdle) out->push_back(iv.cur_packet);
   }
 }
 

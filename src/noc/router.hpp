@@ -137,13 +137,11 @@ class Router {
   // --- Fault-injection hooks (cold path; driven by Network) -----------------
 
   /// Installs (or, with nullptrs, removes) a degraded routing view: lookups
-  /// go through `tables` with this router's and the destination's ids
-  /// translated by `live_id`, and the returned ports translated back to
-  /// physical ports by `port_map`. The pointed-to storage is owned by the
-  /// Network and outlives the view.
-  void set_degraded(const RoutingTables* tables,
-                    const std::uint32_t* live_id,
-                    const std::uint8_t* port_map);
+  /// go through `tables`, built on the live graph (same router ids), and
+  /// the returned ports are translated back to physical ports by
+  /// `port_map`. The pointed-to storage is owned by the fault controller
+  /// and outlives the view.
+  void set_degraded(const RoutingTables* tables, const std::uint8_t* port_map);
 
   /// Kills network port `port`: output and credit-return channels are
   /// detached (SA already skips null output channels) and the output VC
@@ -167,10 +165,6 @@ class Router {
   /// fault_excise to revoke.
   void fault_collect_committed(const std::function<bool(std::size_t)>& dead_out,
                                std::vector<std::uint32_t>* out) const;
-
-  /// Every packet with state in this router (buffered flits or a tracked
-  /// in-progress transmission) — used to poison a killed router wholesale.
-  void fault_collect_all(std::vector<std::uint32_t>* out) const;
 
   struct FaultExcision {
     std::uint64_t flits_removed = 0;
@@ -267,7 +261,6 @@ class Router {
   // Degraded routing view (all null when healthy — the single null check in
   // VA is the only fault cost on the hot path). See set_degraded().
   const RoutingTables* deg_tables_ = nullptr;
-  const std::uint32_t* deg_live_ = nullptr;
   const std::uint8_t* deg_port_map_ = nullptr;
 
   std::size_t n_network_ports_;

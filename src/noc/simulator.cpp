@@ -90,12 +90,6 @@ void Simulator::tick(SyntheticTraffic& traffic) {
   gen_scratch_.clear();
   traffic.generate_due(now_, gen_scratch_);
   for (const Packet& p : gen_scratch_) {
-    if (faults_ != nullptr && !faults_->packet_routable(p)) {
-      // Dead source or destination: suppress the packet before it touches
-      // a source queue (counted, never on the wire).
-      faults_->note_unroutable_packet();
-      continue;
-    }
     // A full source queue throttles the offered load (the generated packet
     // is dropped at the source, exactly like BookSim's finite source
     // queues under saturation).

@@ -184,11 +184,11 @@ class Simulator {
   /// Resilience run: warm the healthy network up at `flit_rate` for
   /// `warmup` cycles, arm `plan` (event times count from the arm point),
   /// then run `measure` more cycles with the fault controller driving
-  /// kills, repairs, table swaps and recovery sampling. Traffic touching
-  /// unroutable endpoints is suppressed at generation (counted as
-  /// packets_unroutable, never offered). The network is left in its
-  /// post-fault state — one resilience run per Simulator (a second call
-  /// throws std::logic_error); the arena lease rewind restores the wiring.
+  /// link kills, repairs, table swaps and recovery sampling. Every accepted
+  /// plan keeps the network connected, so traffic keeps flowing between
+  /// all endpoints. The network is left in its post-fault state — one
+  /// resilience run per Simulator (a second call throws
+  /// std::logic_error); the arena lease rewind restores the wiring.
   faults::ResilienceStats run_resilience(double flit_rate,
                                          const faults::FaultPlan& plan,
                                          Cycle warmup = 2000,

@@ -1,8 +1,8 @@
 // Pins fault injection & degraded-mode resilience:
 //
 //  - FaultPlan validation rejects malformed schedules up front (unordered
-//    times, bad ids, duplicate kills, repairs of healthy components, and
-//    disconnecting cuts unless allow_partition is set).
+//    times, bad ids, duplicate kills, repairs of healthy links, and every
+//    kill of a bridge, which would disconnect the network).
 //  - An armed-but-empty plan is bit-identical to an unarmed run: arming the
 //    controller must cost exactly nothing in behavior.
 //  - A mid-run link kill on the paper's HexaMesh completes without deadlock
@@ -11,8 +11,7 @@
 //    windows and repeated runs.
 //  - Recovery metrics behave: finite recovery time at a survivable kill,
 //    monotone in the recovery threshold, degraded rate <= pre-fault rate.
-//  - Router kills and allowed partitions power endpoints down (offered
-//    traffic suppressed, never leaked) and repairs bring them back.
+//  - A repair brings the killed link back.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -46,7 +45,7 @@ using hm::noc::Cycle;
 using hm::noc::SimConfig;
 using hm::noc::Simulator;
 
-/// Path graph 0-1-2: every edge is a bridge, node 1 is a cut vertex.
+/// Path graph 0-1-2: every edge is a bridge.
 Graph path3() {
   Graph g(3);
   g.add_edge(0, 1);
@@ -79,20 +78,6 @@ std::pair<NodeId, NodeId> first_non_bridge(const Graph& g) {
   throw std::logic_error("no non-bridge edge");
 }
 
-/// First router whose removal keeps the remaining graph connected.
-NodeId first_removable_router(const Graph& g) {
-  for (NodeId r = 0; r < g.node_count(); ++r) {
-    FaultPlan plan;
-    plan.events.push_back(FaultEvent{100, FaultKind::kRouterKill, r, 0});
-    try {
-      plan.validate(g);
-      return r;
-    } catch (const std::invalid_argument&) {
-    }
-  }
-  throw std::logic_error("no removable router");
-}
-
 TEST(FaultPlanValidation, RejectsMalformedSchedules) {
   const Graph g = make_arrangement(ArrangementType::kHexaMesh, 7).graph();
   const auto edge = first_non_bridge(g);
@@ -108,9 +93,6 @@ TEST(FaultPlanValidation, RejectsMalformedSchedules) {
   {  // ids out of range
     EXPECT_THROW(kill_link_plan(0, 99, 100).validate(g),
                  std::invalid_argument);
-    FaultPlan plan;
-    plan.events.push_back(FaultEvent{100, FaultKind::kRouterKill, 99, 0});
-    EXPECT_THROW(plan.validate(g), std::invalid_argument);
   }
   {  // kill of a link that does not exist / duplicate kill
     NodeId a = 0, b = 0;
@@ -131,7 +113,6 @@ TEST(FaultPlanValidation, RejectsMalformedSchedules) {
     FaultPlan dup = kill_link_plan(edge.first, edge.second, 100);
     dup.events.push_back(
         FaultEvent{300, FaultKind::kLinkKill, edge.first, edge.second});
-    dup.allow_partition = true;  // isolate the duplicate-kill rule
     EXPECT_THROW(dup.validate(g), std::invalid_argument);
   }
   {  // repair of a healthy link
@@ -145,18 +126,10 @@ TEST(FaultPlanValidation, RejectsMalformedSchedules) {
       kill_link_plan(edge.first, edge.second, 100, 400).validate(g));
 }
 
-TEST(FaultPlanValidation, BridgeCutsNeedAllowPartition) {
+TEST(FaultPlanValidation, BridgeCutsAreRejected) {
   const Graph g = path3();
-  FaultPlan plan = kill_link_plan(0, 1, 100);
-  EXPECT_THROW(plan.validate(g), std::invalid_argument);
-  plan.allow_partition = true;
-  EXPECT_NO_THROW(plan.validate(g));
-
-  FaultPlan cut_vertex;
-  cut_vertex.events.push_back(FaultEvent{100, FaultKind::kRouterKill, 1, 0});
-  EXPECT_THROW(cut_vertex.validate(g), std::invalid_argument);
-  cut_vertex.allow_partition = true;
-  EXPECT_NO_THROW(cut_vertex.validate(g));
+  EXPECT_THROW(kill_link_plan(0, 1, 100).validate(g), std::invalid_argument);
+  EXPECT_THROW(kill_link_plan(1, 2, 100).validate(g), std::invalid_argument);
 }
 
 TEST(FaultScenario, GeneratedPlansValidateAndAreDeterministic) {
@@ -215,7 +188,6 @@ void expect_same(const Observed& x, const Observed& y,
   EXPECT_EQ(x.stats.flits_dropped, y.stats.flits_dropped) << ctx;
   EXPECT_EQ(x.stats.packets_lost, y.stats.packets_lost) << ctx;
   EXPECT_EQ(x.stats.packets_rerouted, y.stats.packets_rerouted) << ctx;
-  EXPECT_EQ(x.stats.packets_unroutable, y.stats.packets_unroutable) << ctx;
   EXPECT_EQ(x.stats.pre_fault_rate, y.stats.pre_fault_rate) << ctx;
   EXPECT_EQ(x.stats.degraded_rate, y.stats.degraded_rate) << ctx;
   EXPECT_EQ(x.stats.recovery_cycles, y.stats.recovery_cycles) << ctx;
@@ -308,74 +280,6 @@ TEST(Faults, RepairRestoresTheLink) {
   EXPECT_EQ(obs.stats.links_killed, 1u);
   EXPECT_EQ(obs.stats.repairs, 1u);
   EXPECT_TRUE(obs.stats.recovered);
-}
-
-TEST(Faults, RouterKillSuppressesItsEndpoints) {
-  const Graph g = make_arrangement(ArrangementType::kHexaMesh, 19).graph();
-  const NodeId victim = first_removable_router(g);
-  SimConfig cfg;
-  cfg.seed = 9;
-
-  FaultPlan plan;
-  plan.events.push_back(FaultEvent{500, FaultKind::kRouterKill, victim, 0});
-
-  Simulator sim(g, cfg);
-  const ResilienceStats stats = sim.run_resilience(0.2, plan, 1000, 4000);
-  EXPECT_EQ(stats.routers_killed, 1u);
-  // Uniform traffic keeps addressing the dead router's endpoints, so
-  // suppression must be visible; the dying router's own queued load is
-  // flushed at the transition.
-  EXPECT_GT(stats.packets_unroutable, 0u);
-  for (std::size_t e = 0; e < sim.network().num_endpoints(); ++e) {
-    const bool on_victim =
-        e / static_cast<std::size_t>(cfg.endpoints_per_chiplet) == victim;
-    EXPECT_EQ(sim.network().endpoint_alive(e), !on_victim) << "e=" << e;
-  }
-  std::string why;
-  EXPECT_TRUE(sim.network().invariants_ok(&why)) << why;
-  EXPECT_EQ(sim.network().total_flits_injected(),
-            sim.network().total_flits_ejected() +
-                sim.network().flits_in_network() +
-                sim.network().flits_dropped());
-}
-
-TEST(Faults, AllowedPartitionPowersTheIslandDown) {
-  // 2x3 grid path-cut: killing both rungs of one column splits off a
-  // 2-router island. The principal component keeps running; the island
-  // goes dark without leaking a flit.
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(0, 3);
-  g.add_edge(1, 4);
-  g.add_edge(2, 5);
-
-  FaultPlan plan;
-  plan.allow_partition = true;
-  plan.events.push_back(FaultEvent{500, FaultKind::kLinkKill, 1, 2});
-  plan.events.push_back(FaultEvent{500, FaultKind::kLinkKill, 4, 5});
-  plan.validate(g);
-
-  SimConfig cfg;
-  cfg.seed = 13;
-  Simulator sim(g, cfg);
-  const ResilienceStats stats = sim.run_resilience(0.2, plan, 1000, 4000);
-  EXPECT_EQ(stats.links_killed, 2u);
-  EXPECT_GT(stats.packets_unroutable, 0u);
-  for (std::size_t e = 0; e < sim.network().num_endpoints(); ++e) {
-    const std::size_t r =
-        e / static_cast<std::size_t>(cfg.endpoints_per_chiplet);
-    const bool on_island = r == 2 || r == 5;
-    EXPECT_EQ(sim.network().endpoint_alive(e), !on_island) << "e=" << e;
-  }
-  std::string why;
-  EXPECT_TRUE(sim.network().invariants_ok(&why)) << why;
-  EXPECT_EQ(sim.network().total_flits_injected(),
-            sim.network().total_flits_ejected() +
-                sim.network().flits_in_network() +
-                sim.network().flits_dropped());
 }
 
 TEST(Faults, StormRunsCleanAcrossSkipModes) {

@@ -315,12 +315,11 @@ std::string router_golden_capture() {
   std::snprintf(
       buf, sizeof buf,
       "hexamesh-37 storm rate=0.5 links_killed=%llu flits_dropped=%llu"
-      " packets_lost=%llu packets_flushed=%llu packets_rerouted=%llu"
+      " packets_lost=%llu packets_rerouted=%llu"
       " pre_fault_rate=%.17g degraded_rate=%.17g ejected=%llu",
       static_cast<unsigned long long>(s.links_killed),
       static_cast<unsigned long long>(s.flits_dropped),
       static_cast<unsigned long long>(s.packets_lost),
-      static_cast<unsigned long long>(s.packets_flushed),
       static_cast<unsigned long long>(s.packets_rerouted), s.pre_fault_rate,
       s.degraded_rate,
       static_cast<unsigned long long>(sim.network().total_flits_ejected()));
