@@ -18,7 +18,7 @@
 //       --repair-after C   single kills: repair C cycles later (default off)
 //       --reconvergence C  stale-table window before the re-routed swap
 //       --seed S           scenario seed (also seeds the simulator RNG)
-//       --csv out.csv      export one row per plan
+//       --csv out.csv      export one row per plan (JSON for a .json path)
 //       --telemetry        print the metrics snapshot (fault.* counters)
 //       --trace out.json   record a Chrome trace (load in Perfetto)
 #include <algorithm>
@@ -31,6 +31,7 @@
 
 #include "cli_util.hpp"
 #include "core/arrangement.hpp"
+#include "explore/export.hpp"
 #include "faults/fault_plan.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
@@ -56,6 +57,24 @@ struct PlanOutcome {
   std::uint64_t ejected = 0;
   std::uint64_t in_network = 0;
 };
+
+/// One exported row per plan, through the sweep exports' row writer.
+std::vector<hm::explore::Cell> cells(const PlanOutcome& out) {
+  using hm::explore::flag;
+  using hm::explore::num;
+  using hm::explore::text;
+  const hm::faults::ResilienceStats& s = out.stats;
+  return {text("plan", out.what),
+          num("links_killed", s.links_killed),
+          num("repairs", s.repairs),
+          num("flits_dropped", s.flits_dropped),
+          num("packets_lost", s.packets_lost),
+          num("packets_rerouted", s.packets_rerouted),
+          num("pre_fault_rate", s.pre_fault_rate),
+          num("degraded_rate", s.degraded_rate),
+          num("recovery_cycles", s.recovery_cycles),
+          flag("recovered", s.recovered)};
+}
 
 }  // namespace
 
@@ -263,20 +282,8 @@ int main(int argc, char** argv) {
     if (!csv_path.empty()) {
       std::ofstream os(csv_path);
       if (!os) throw std::runtime_error("cannot open " + csv_path);
-      os << "plan,links_killed,repairs,flits_dropped,packets_lost,"
-            "packets_rerouted,pre_fault_rate,degraded_rate,recovery_cycles,"
-            "recovered\n";
-      for (const auto& out : outcomes) {
-        const auto& s = out.stats;
-        std::string what = out.what;
-        for (char& c : what) {
-          if (c == ',') c = ';';  // keep the CSV single-celled
-        }
-        os << what << ',' << s.links_killed << ',' << s.repairs << ','
-           << s.flits_dropped << ',' << s.packets_lost << ','
-           << s.packets_rerouted << ',' << s.pre_fault_rate << ',' << s.degraded_rate << ','
-           << s.recovery_cycles << ',' << (s.recovered ? 1 : 0) << '\n';
-      }
+      explore::write_rows(os, outcomes, explore::is_json_path(csv_path),
+                          [](const PlanOutcome& out) { return cells(out); });
       std::printf("per-plan results exported: %s\n", csv_path.c_str());
     }
   } catch (const std::exception& e) {
