@@ -162,21 +162,17 @@ void Server::stop() {
   // Unblock every reader parked in recv().
   {
     const std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& weak : conns_) {
-      if (const auto conn = weak.lock()) {
-        conn->alive.store(false);
-        ::shutdown(conn->fd, SHUT_RDWR);
-      }
+    for (const ConnectionThread& c : conns_) {
+      c.conn->alive.store(false);
+      ::shutdown(c.conn->fd, SHUT_RDWR);
     }
   }
 
   queue_.close();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  conn_threads_.clear();
+  for (ConnectionThread& c : conns_) c.thread.join();
+  conns_.clear();
 
   close_fd(unix_fd_);
   close_fd(tcp_fd_);
@@ -196,6 +192,10 @@ Server::StatsSnapshot Server::stats_snapshot() const {
   s.rejects = rejects_.load();
   s.batches = batches_.load();
   s.pending = queue_.pending();
+  {
+    const std::lock_guard<std::mutex> lock(conns_mu_);
+    s.connections = conns_.size();
+  }
   s.uptime_s = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - started_at_)
                    .count();
@@ -211,7 +211,8 @@ std::string Server::stats_json() const {
   std::ostringstream os;
   os << "{\"uptime_s\":" << s.uptime_s << ",\"requests\":" << s.requests
      << ",\"rejects\":" << s.rejects << ",\"batches\":" << s.batches
-     << ",\"pending\":" << s.pending << ",\"threads\":"
+     << ",\"pending\":" << s.pending << ",\"connections\":"
+     << s.connections << ",\"threads\":"
      << pool_.thread_count() << ",\"cache_entries\":" << cache_.size();
   if (!options_.cache_dir.empty()) {
     const auto st = store::ResultStore::open(options_.cache_dir)->stats();
@@ -240,15 +241,16 @@ void Server::accept_loop() {
       auto conn = std::make_shared<Connection>();
       conn->fd = client;
       conn->id = next_client_id_.fetch_add(1);
-      {
-        const std::lock_guard<std::mutex> lock(conns_mu_);
-        // Reap dead weak_ptrs so a long-lived server doesn't grow the list.
-        std::erase_if(conns_,
-                      [](const auto& weak) { return weak.expired(); });
-        conns_.push_back(conn);
-        conn_threads_.emplace_back(
-            [this, conn] { connection_loop(conn); });
-      }
+      const std::lock_guard<std::mutex> lock(conns_mu_);
+      // Join the threads of closed connections, so a long-lived server
+      // holds threads only for the connections still open.
+      std::erase_if(conns_, [](ConnectionThread& c) {
+        if (!c.conn->finished.load()) return false;
+        c.thread.join();
+        return true;
+      });
+      conns_.push_back(
+          {conn, std::thread([this, conn] { connection_loop(conn); })});
     }
   }
 }
@@ -323,16 +325,20 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
     }
   }
   conn->alive.store(false);
-  // Close under both locks: conns_mu_ serializes against stop()'s
-  // shutdown() sweep, write_mu against a dispatcher mid-reply — so the fd
-  // can never be closed (and its number reused) under a concurrent user.
-  const std::lock_guard<std::mutex> conns_lock(conns_mu_);
-  const std::lock_guard<std::mutex> write_lock(conn->write_mu);
-  if (conn->fd >= 0) {
-    ::shutdown(conn->fd, SHUT_RDWR);
-    ::close(conn->fd);
-    conn->fd = -1;
+  {
+    // Close under both locks: conns_mu_ serializes against stop()'s
+    // shutdown() sweep, write_mu against a dispatcher mid-reply — so the
+    // fd can never be closed (and its number reused) under a concurrent
+    // user.
+    const std::lock_guard<std::mutex> conns_lock(conns_mu_);
+    const std::lock_guard<std::mutex> write_lock(conn->write_mu);
+    if (conn->fd >= 0) {
+      ::shutdown(conn->fd, SHUT_RDWR);
+      ::close(conn->fd);
+      conn->fd = -1;
+    }
   }
+  conn->finished.store(true);
 }
 
 void Server::dispatch_loop() {

@@ -93,6 +93,9 @@ class Server {
     std::uint64_t rejects = 0;
     std::uint64_t batches = 0;
     std::size_t pending = 0;
+    /// Connection threads held: open connections plus closed ones whose
+    /// threads the next accept joins.
+    std::size_t connections = 0;
     double uptime_s = 0.0;
   };
   [[nodiscard]] StatsSnapshot stats_snapshot() const;
@@ -105,6 +108,15 @@ class Server {
     std::uint64_t id = 0;
     std::mutex write_mu;
     std::atomic<bool> alive{true};
+    /// Set as connection_loop's last act: its thread is about to return,
+    /// so joining it cannot block.
+    std::atomic<bool> finished{false};
+  };
+
+  /// One accepted connection and the thread reading it.
+  struct ConnectionThread {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
   };
 
   struct PendingRequest {
@@ -151,9 +163,9 @@ class Server {
 
   std::thread accept_thread_;
   std::thread dispatch_thread_;
-  std::mutex conns_mu_;
-  std::vector<std::weak_ptr<Connection>> conns_;
-  std::vector<std::thread> conn_threads_;
+  mutable std::mutex conns_mu_;
+  /// Joined and dropped once finished, by accept_loop or stop().
+  std::vector<ConnectionThread> conns_;
 };
 
 }  // namespace hm::server

@@ -418,7 +418,25 @@ TEST_F(LoopbackServer, StatsReportServedRequests) {
   const std::string json(body.begin(), body.end());
   EXPECT_NE(json.find("\"requests\""), std::string::npos);
   EXPECT_NE(json.find("\"uptime_s\""), std::string::npos);
+  EXPECT_NE(json.find("\"connections\""), std::string::npos);
   EXPECT_GE(server_->stats_snapshot().requests, 2u);
+}
+
+TEST_F(LoopbackServer, ClosedConnectionThreadsAreJoined) {
+  // Each accept joins the threads of the connections closed before it, so
+  // sequential clients never pile threads up: at most the last client's
+  // and the one before it (closed, but maybe not yet seen closing when the
+  // last client was accepted) are held.
+  for (int i = 0; i < 200; ++i) {
+    const int fd = connect_unix(options_.unix_path);
+    ASSERT_GE(fd, 0);
+    const auto reply = roundtrip(fd, Command::kPing, {});
+    ::close(fd);
+    ASSERT_TRUE(reply.has_value());
+  }
+  EXPECT_LE(server_->stats_snapshot().connections, 2u);
+  server_->stop();  // joins every thread still held
+  EXPECT_EQ(server_->stats_snapshot().connections, 0u);
 }
 
 TEST_F(LoopbackServer, ShutdownCommandStopsServerAndUnlinksSocket) {
