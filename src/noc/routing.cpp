@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdlib>
 #include <limits>
 #include <queue>
@@ -16,9 +17,7 @@ namespace {
 
 constexpr int kInf = std::numeric_limits<int>::max() / 4;
 
-std::atomic<std::uint64_t> g_lifetime_builds{0};
 std::atomic<std::uint64_t> g_incremental_builds{0};
-std::atomic<std::uint64_t> g_incremental_rows_reused{0};
 
 /// up*/down* orientation: an edge goes "up" toward the endpoint with the
 /// smaller (root depth, id) key.
@@ -48,16 +47,8 @@ graph::Graph apply_edit(const graph::Graph& g, const GraphEdit& edit) {
   return out;
 }
 
-std::uint64_t RoutingTables::lifetime_builds() noexcept {
-  return g_lifetime_builds.load(std::memory_order_relaxed);
-}
-
 std::uint64_t RoutingTables::incremental_builds() noexcept {
   return g_incremental_builds.load(std::memory_order_relaxed);
-}
-
-std::uint64_t RoutingTables::incremental_rows_reused() noexcept {
-  return g_incremental_rows_reused.load(std::memory_order_relaxed);
 }
 
 bool RoutingTables::identical_to(const RoutingTables& o) const {
@@ -69,7 +60,6 @@ bool RoutingTables::identical_to(const RoutingTables& o) const {
 
 RoutingTables::RoutingTables(const graph::Graph& g) {
   check_buildable(g);
-  g_lifetime_builds.fetch_add(1, std::memory_order_relaxed);
   static telemetry::Counter builds("routing.lifetime_builds");
   builds.add();
   build_full(g);
@@ -78,7 +68,6 @@ RoutingTables::RoutingTables(const graph::Graph& g) {
 RoutingTables::RoutingTables(const graph::Graph& g, const RoutingTables& prev,
                              const GraphEdit& edit) {
   check_buildable(g);
-  g_lifetime_builds.fetch_add(1, std::memory_order_relaxed);
   // HM_LINT allow(telemetry-name): deliberate alias — full and incremental
   // constructors both count into the one lifetime-builds metric
   static telemetry::Counter builds("routing.lifetime_builds");
@@ -161,8 +150,6 @@ RoutingTables::RoutingTables(const graph::Graph& g, const RoutingTables& prev,
     return;
   }
   g_incremental_builds.fetch_add(1, std::memory_order_relaxed);
-  g_incremental_rows_reused.fetch_add(n - changed_rows,
-                                      std::memory_order_relaxed);
   static telemetry::Counter incr("routing.incremental_builds");
   static telemetry::Counter rows("routing.incremental_rows_reused");
   incr.add();

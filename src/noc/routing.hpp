@@ -20,7 +20,6 @@
 // TopologyContext share it read-only across concurrent simulators.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -127,23 +126,12 @@ class RoutingTables {
   /// Number of routers the tables were built for.
   [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
 
-  /// Process-lifetime count of table constructions. The topology-sharing
-  /// contract — "one table build per evaluate / find_saturation / sweep-job
-  /// chain" — is asserted by tests through deltas of this counter.
-  ///
-  /// Deprecated for observability use: the same counts are published as
-  /// `routing.*` counters in telemetry::snapshot() (telemetry/telemetry.hpp),
-  /// the uniform surface. These bespoke accessors stay for the existing
-  /// delta-based test/engine bookkeeping only.
-  [[nodiscard]] static std::uint64_t lifetime_builds() noexcept;
-
-  /// Process-lifetime counts of incremental builds that stayed incremental
-  /// (vs. falling back to a full rebuild) and of distance rows copied from
-  /// the previous tables instead of re-running BFS. Observability for the
-  /// search bench and the equivalence tests. Deprecated in favour of the
-  /// `routing.incremental_*` telemetry counters (see lifetime_builds()).
+  /// Process-lifetime count of incremental builds that stayed incremental
+  /// (vs. falling back to a full rebuild), which search::Chain reports per
+  /// run as a delta. Every other build count is a telemetry counter:
+  /// `routing.lifetime_builds`, `routing.incremental_builds` and
+  /// `routing.incremental_rows_reused` in telemetry::snapshot().
   [[nodiscard]] static std::uint64_t incremental_builds() noexcept;
-  [[nodiscard]] static std::uint64_t incremental_rows_reused() noexcept;
 
   /// True iff every table (distances, minimal-port CSR, escape hops, root,
   /// degrees) compares equal element for element. The incremental-vs-full

@@ -1,7 +1,6 @@
 #include "noc/topology.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <iterator>
 #include <mutex>
 #include <stdexcept>
@@ -14,8 +13,6 @@
 namespace hm::noc {
 
 namespace {
-
-std::atomic<std::uint64_t> g_context_builds{0};
 
 /// Index of `u` within the sorted neighbour list of `v` (v's port toward u).
 std::uint8_t port_of(const graph::Graph& g, graph::NodeId v, graph::NodeId u) {
@@ -76,10 +73,6 @@ std::uint64_t graph_digest(const graph::Graph& g) {
   return h.value();
 }
 
-std::uint64_t TopologyContext::lifetime_builds() noexcept {
-  return g_context_builds.load(std::memory_order_relaxed);
-}
-
 TopologyContext::TopologyContext(const graph::Graph& g)
     : graph_(g), digest_(graph_digest(g)), tables_([&] {
         telemetry::Span span("topo.build_full");
@@ -87,7 +80,6 @@ TopologyContext::TopologyContext(const graph::Graph& g)
       }()) {
   static telemetry::Counter full_builds("topo.full_builds");
   full_builds.add();
-  g_context_builds.fetch_add(1, std::memory_order_relaxed);
   build_links();
 }
 
@@ -100,7 +92,6 @@ TopologyContext::TopologyContext(const graph::Graph& g,
       }()) {
   static telemetry::Counter incr_builds("topo.incremental_builds");
   incr_builds.add();
-  g_context_builds.fetch_add(1, std::memory_order_relaxed);
   build_links();
 }
 

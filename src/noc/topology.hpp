@@ -92,12 +92,6 @@ class TopologyContext {
     return links_;
   }
 
-  /// Process-lifetime count of contexts constructed. Used by tests to
-  /// verify the build-once contract; acquire() calls served from the cache
-  /// are published as the `topo.intern_hits` counter in
-  /// telemetry::snapshot() (telemetry/telemetry.hpp).
-  [[nodiscard]] static std::uint64_t lifetime_builds() noexcept;
-
  private:
   /// Incremental build for rebuild_from: `g` is prev's graph with `edit`
   /// applied; the routing tables reuse every row the edit leaves intact.

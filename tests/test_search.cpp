@@ -29,6 +29,7 @@
 #include "search/search.hpp"
 #include "store/record.hpp"
 #include "store/result_store.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -239,11 +240,20 @@ TEST(IncrementalRebuild, LocalEditStaysIncrementalAndReusesRows) {
   edit.removed.push_back({3, 11});
   hm::graph::Graph g2 = hm::noc::apply_edit(g, edit);
 
+  // Rows reused are counted only in the telemetry registry.
+  const bool telemetry_was = hm::telemetry::enabled();
+  hm::telemetry::set_enabled(true);
+  const auto rows_reused = [] {
+    const auto snap = hm::telemetry::snapshot();
+    const auto it = snap.counters.find("routing.incremental_rows_reused");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
   const auto incr0 = RoutingTables::incremental_builds();
-  const auto reused0 = RoutingTables::incremental_rows_reused();
+  const auto reused0 = rows_reused();
   const RoutingTables incremental(g2, prev, edit);
   EXPECT_EQ(RoutingTables::incremental_builds(), incr0 + 1);
-  EXPECT_EQ(RoutingTables::incremental_rows_reused(), reused0 + (n - 2));
+  EXPECT_EQ(rows_reused(), reused0 + (n - 2));
+  hm::telemetry::set_enabled(telemetry_was);
   EXPECT_TRUE(incremental.identical_to(RoutingTables(g2)));
 }
 

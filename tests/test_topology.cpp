@@ -15,6 +15,7 @@
 #include "noc/ring_buffer.hpp"
 #include "noc/simulator.hpp"
 #include "noc/topology.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -24,6 +25,30 @@ using hm::noc::RoutingTables;
 using hm::noc::SimConfig;
 using hm::noc::Simulator;
 using hm::noc::TopologyContext;
+
+/// Enables telemetry for one test's scope, restoring the previous switch.
+class TelemetryOn {
+ public:
+  TelemetryOn() { hm::telemetry::set_enabled(true); }
+  ~TelemetryOn() { hm::telemetry::set_enabled(was_); }
+  TelemetryOn(const TelemetryOn&) = delete;
+  TelemetryOn& operator=(const TelemetryOn&) = delete;
+
+ private:
+  bool was_ = hm::telemetry::enabled();
+};
+
+/// Current value of a registry counter (0 before its first use).
+std::uint64_t counter(const char* name) {
+  const auto snap = hm::telemetry::snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+/// Contexts constructed so far, full and incremental.
+std::uint64_t context_builds() {
+  return counter("topo.full_builds") + counter("topo.incremental_builds");
+}
 
 Graph ring_graph(std::size_t n) {
   Graph g(n);
@@ -87,9 +112,10 @@ TEST(TopologyContext, ExpiredContextsAreRebuilt) {
     const auto ctx = TopologyContext::acquire(g);
     first = ctx.get();
   }  // last reference dropped; the cache holds only a weak_ptr
-  const auto before = TopologyContext::lifetime_builds();
+  const TelemetryOn telemetry;
+  const auto before = context_builds();
   const auto again = TopologyContext::acquire(g);
-  EXPECT_EQ(TopologyContext::lifetime_builds(), before + 1);
+  EXPECT_EQ(context_builds(), before + 1);
   (void)first;
 }
 
@@ -114,10 +140,11 @@ TEST(TopologyContext, FindSaturationBuildsTablesOnce) {
   hm::noc::SaturationSearchOptions opts;
   opts.warmup = 300;
   opts.measure = 300;
-  const auto before = RoutingTables::lifetime_builds();
+  const TelemetryOn telemetry;
+  const auto before = counter("routing.lifetime_builds");
   const auto result = hm::noc::find_saturation(g, cfg, opts);
   EXPECT_EQ(result.probes, 7);  // full rate + six bisection steps...
-  EXPECT_EQ(RoutingTables::lifetime_builds(), before + 1);  // ...one build
+  EXPECT_EQ(counter("routing.lifetime_builds"), before + 1);  // ...one build
 }
 
 TEST(TopologyContext, EvaluateBuildsTablesOnce) {
@@ -129,10 +156,11 @@ TEST(TopologyContext, EvaluateBuildsTablesOnce) {
   params.latency_drain_limit = 50000;
   params.throughput_warmup = 300;
   params.throughput_measure = 300;
-  const auto before = RoutingTables::lifetime_builds();
+  const TelemetryOn telemetry;
+  const auto before = counter("routing.lifetime_builds");
   const auto r = hm::core::evaluate(arr, params);
   EXPECT_GT(r.saturation_fraction, 0.0);
-  EXPECT_EQ(RoutingTables::lifetime_builds(), before + 1);
+  EXPECT_EQ(counter("routing.lifetime_builds"), before + 1);
 }
 
 TEST(TopologyContext, EvaluateSimulationRejectsForeignContext) {
