@@ -171,8 +171,13 @@ void Server::stop() {
   queue_.close();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
-  for (ConnectionThread& c : conns_) c.thread.join();
-  conns_.clear();
+  // Join outside the lock: a closing connection takes conns_mu_ itself.
+  std::vector<ConnectionThread> conns;
+  {
+    const std::lock_guard<std::mutex> lock(conns_mu_);
+    conns.swap(conns_);
+  }
+  for (ConnectionThread& c : conns) c.thread.join();
 
   close_fd(unix_fd_);
   close_fd(tcp_fd_);
