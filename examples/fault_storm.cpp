@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
       std::ofstream os(csv_path);
       if (!os) throw std::runtime_error("cannot open " + csv_path);
       explore::write_rows(os, outcomes, explore::is_json_path(csv_path),
-                          [](const PlanOutcome& out) { return cells(out); });
+                          cells);
       std::printf("per-plan results exported: %s\n", csv_path.c_str());
     }
   } catch (const std::exception& e) {
