@@ -1,10 +1,20 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <queue>
 #include <stdexcept>
 
 namespace hm::graph {
+
+namespace {
+
+/// distance_summary sweeps every vertex once the frontier holds at least
+/// 1/kSweepFraction of them; below that, frontier vertices push.
+constexpr std::size_t kSweepFraction = 8;
+
+}  // namespace
 
 std::vector<int> bfs_distances(const Graph& g, NodeId src) {
   if (src >= g.node_count()) {
@@ -41,37 +51,78 @@ DistanceSummary distance_summary(const Graph& g) {
     offset[v + 1] = target.size();
   }
 
-  std::vector<NodeId> queue(n);
-  std::vector<NodeId> reached_from(n, kInvalidNode);  // last BFS source
-  for (NodeId src = 0; src < n; ++src) {
-    std::size_t head = 0;
-    std::size_t tail = 0;
-    queue[tail++] = src;
-    reached_from[src] = src;
-    // The queue holds one BFS level after another: queue[head, level_end)
-    // is the level at `depth` hops.
-    int depth = 0;
-    for (;;) {
-      const std::size_t level_end = tail;
-      out.total_distance += static_cast<long long>(depth) *
-                            static_cast<long long>(level_end - head);
-      for (; head < level_end; ++head) {
-        const NodeId u = queue[head];
-        for (std::size_t e = offset[u]; e < offset[u + 1]; ++e) {
-          const NodeId v = target[e];
-          if (reached_from[v] != src) {
-            reached_from[v] = src;
-            queue[tail++] = v;
+  // 64 BFSs per pass: bit i of a vertex's words belongs to source base + i.
+  // frontier[v] holds the sources whose BFS reached v at the current depth,
+  // seen[v] those that reached it at any depth. A level ORs the neighbours'
+  // frontier words into next[v] and keeps the bits not yet seen. Between
+  // levels, frontier is zero except at the vertices listed in `active`, and
+  // next is zero everywhere.
+  std::vector<std::uint64_t> seen(n);
+  std::vector<std::uint64_t> frontier(n, 0);
+  std::vector<std::uint64_t> next(n, 0);
+  std::vector<NodeId> active;
+  std::vector<NodeId> next_active;
+  active.reserve(n);
+  next_active.reserve(n);
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t width = std::min<std::size_t>(64, n - base);
+    const std::uint64_t all =
+        width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+    std::fill(seen.begin(), seen.end(), 0);
+    active.clear();
+    for (std::size_t i = 0; i < width; ++i) {
+      seen[base + i] = frontier[base + i] = std::uint64_t{1} << i;
+      active.push_back(static_cast<NodeId>(base + i));
+    }
+    std::size_t reached = width;  // (source, vertex) pairs found so far
+    for (int depth = 1;; ++depth) {
+      // A bit is new at most once per vertex, so each popcount adds only
+      // pairs at exactly `depth` hops.
+      std::size_t fresh = 0;
+      next_active.clear();
+      if (active.size() * kSweepFraction >= n) {
+        // Large frontier: every vertex some source has not reached pulls
+        // its neighbours' frontier words, in one sweep over the rows.
+        for (NodeId v = 0; v < n; ++v) {
+          if (seen[v] == all) continue;
+          std::uint64_t x = 0;
+          for (std::size_t e = offset[v]; e < offset[v + 1]; ++e) {
+            x |= frontier[target[e]];
+          }
+          x &= ~seen[v];
+          if (x == 0) continue;
+          next[v] = x;
+          seen[v] |= x;
+          fresh += static_cast<std::size_t>(std::popcount(x));
+          next_active.push_back(v);
+        }
+      } else {
+        // Small frontier: only its vertices push to their neighbours.
+        for (const NodeId u : active) {
+          const std::uint64_t w = frontier[u];
+          for (std::size_t e = offset[u]; e < offset[u + 1]; ++e) {
+            const NodeId v = target[e];
+            const std::uint64_t x = w & ~seen[v];
+            if (x == 0) continue;
+            if (next[v] == 0) next_active.push_back(v);
+            next[v] |= x;
+            seen[v] |= x;
+            fresh += static_cast<std::size_t>(std::popcount(x));
           }
         }
       }
-      if (tail == level_end) break;
-      ++depth;
+      for (const NodeId u : active) frontier[u] = 0;
+      frontier.swap(next);
+      active.swap(next_active);
+      if (fresh == 0) break;
+      out.total_distance +=
+          static_cast<long long>(depth) * static_cast<long long>(fresh);
+      out.diameter = std::max(out.diameter, depth);
+      reached += fresh;
     }
-    if (tail != n) {
+    if (reached != width * n) {
       throw std::invalid_argument("distance_summary: graph is disconnected");
     }
-    out.diameter = std::max(out.diameter, depth);
   }
   out.average_distance =
       static_cast<double>(out.total_distance) /

@@ -16,7 +16,7 @@ constexpr std::uint32_t kNoVertex = static_cast<std::uint32_t>(-1);
 long long move_gain(const WeightedGraph& g, const std::vector<int>& side,
                     std::uint32_t v) {
   long long gain = 0;
-  for (const auto& [u, w] : g.adj[v]) {
+  for (const auto& [u, w] : g.row(v)) {
     gain += (side[u] != side[v]) ? w : -w;
   }
   return gain;
@@ -104,7 +104,7 @@ long long fm_refine(const WeightedGraph& g, std::vector<int>& side,
   for (std::uint32_t v = 0; v < n; ++v) {
     part_weight[side[v]] += g.node_weight[v];
     long long degree = 0;
-    for (const auto& edge : g.adj[v]) degree += edge.second;
+    for (const auto& edge : g.row(v)) degree += edge.second;
     max_gain = std::max(max_gain, degree);
     lightest = std::min<long long>(lightest, g.node_weight[v]);
   }
@@ -167,7 +167,7 @@ long long fm_refine(const WeightedGraph& g, std::vector<int>& side,
       locked[best_v] = 1;
       running_cut -= best_gain;
       moves.push_back(best_v);
-      for (const auto& [u, w] : g.adj[best_v]) {
+      for (const auto& [u, w] : g.row(best_v)) {
         if (locked[u]) continue;
         // best_v switched sides: edges to u flip their contribution.
         buckets[side[u]].erase(u, gain[u]);
@@ -215,7 +215,7 @@ std::vector<int> grow_initial_partition(const WeightedGraph& g,
   const auto absorb = [&](std::uint32_t v) {
     side[v] = 0;
     grown += g.node_weight[v];
-    for (const auto& [u, w] : g.adj[v]) {
+    for (const auto& [u, w] : g.row(v)) {
       conn[u] += w;
       touches[u] = 1;
     }

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "partition/coarsen.hpp"
+#include "partition/draws.hpp"
 #include "partition/fm_refine.hpp"
 #include "partition/wgraph.hpp"
 
@@ -46,8 +47,8 @@ std::vector<int> vcycle(const WeightedGraph& g0, std::mt19937& rng,
   long long best_cut = -1;
   const int tries = std::max<std::size_t>(1, std::min<std::size_t>(coarsest.n(), 8));
   for (int t = 0; t < tries; ++t) {
-    const auto seed_vertex = static_cast<std::uint32_t>(
-        std::uniform_int_distribution<std::size_t>(0, coarsest.n() - 1)(rng));
+    const std::uint32_t seed_vertex = detail::uniform_below(
+        rng, static_cast<std::uint32_t>(coarsest.n()));
     auto candidate =
         detail::grow_initial_partition(coarsest, seed_vertex, max_part_weight);
     const long long cut =

@@ -1,9 +1,15 @@
 // Internal weighted-graph representation used by the multilevel bisection
 // pipeline (coarsening merges vertices, so both vertices and edges carry
 // integer weights). Not part of the public API.
+//
+// The layout is CSR, as in METIS (Karypis & Kumar, SIAM J. Sci. Comput.
+// 1998): one node-weight array, one row-offset array and one edge array of
+// (neighbour, weight) pairs, each row sorted by neighbour id. Gain sums,
+// matching tie-breaks and FM picks all walk rows in that order.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,14 +17,24 @@
 
 namespace hm::partition::detail {
 
-/// Vertex/edge-weighted undirected graph in adjacency-list form.
+/// One directed half of an undirected weighted edge: (neighbour, weight).
+using WeightedEdge = std::pair<std::uint32_t, int>;
+
+/// Vertex/edge-weighted undirected graph in CSR form.
 struct WeightedGraph {
   /// node_weight[v] = number of original vertices contracted into v.
   std::vector<int> node_weight;
-  /// adj[v] = list of (neighbour, edge weight); symmetric.
-  std::vector<std::vector<std::pair<std::uint32_t, int>>> adj;
+  /// Row v is edges[offset[v], offset[v + 1]); n() + 1 entries.
+  std::vector<std::uint32_t> offset{0};
+  /// Every row's (neighbour, weight) pairs, sorted by neighbour; symmetric.
+  std::vector<WeightedEdge> edges;
 
-  [[nodiscard]] std::size_t n() const noexcept { return adj.size(); }
+  [[nodiscard]] std::size_t n() const noexcept { return node_weight.size(); }
+
+  /// The (neighbour, weight) pairs of `v`, sorted by neighbour id.
+  [[nodiscard]] std::span<const WeightedEdge> row(std::uint32_t v) const {
+    return {edges.data() + offset[v], edges.data() + offset[v + 1]};
+  }
 
   [[nodiscard]] long long total_node_weight() const noexcept {
     long long t = 0;
@@ -31,11 +47,11 @@ struct WeightedGraph {
 [[nodiscard]] inline WeightedGraph from_graph(const graph::Graph& g) {
   WeightedGraph wg;
   wg.node_weight.assign(g.node_count(), 1);
-  wg.adj.resize(g.node_count());
+  wg.offset.reserve(g.node_count() + 1);
+  wg.edges.reserve(2 * g.edge_count());
   for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-    for (graph::NodeId u : g.neighbors(v)) {
-      wg.adj[v].emplace_back(u, 1);
-    }
+    for (graph::NodeId u : g.neighbors(v)) wg.edges.emplace_back(u, 1);
+    wg.offset.push_back(static_cast<std::uint32_t>(wg.edges.size()));
   }
   return wg;
 }
@@ -45,7 +61,7 @@ struct WeightedGraph {
                                           const std::vector<int>& side) {
   long long cut = 0;
   for (std::uint32_t v = 0; v < g.n(); ++v) {
-    for (const auto& [u, w] : g.adj[v]) {
+    for (const auto& [u, w] : g.row(v)) {
       if (v < u && side[v] != side[u]) cut += w;
     }
   }

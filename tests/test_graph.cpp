@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
+#include "noc/rng.hpp"
 
 namespace {
 
@@ -43,6 +45,41 @@ Graph grid_graph(std::size_t rows, std::size_t cols) {
       if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
       if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
     }
+  }
+  return g;
+}
+
+/// `n` vertices row-major on a lattice ceil(sqrt(n)) wide, each joined to
+/// its right and lower neighbour; the last row may be partial.
+Graph lattice_graph(std::size_t n) {
+  const auto w = static_cast<std::size_t>(
+      std::ceil(std::sqrt(static_cast<double>(n))));
+  Graph g(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    if ((v + 1) % w != 0 && v + 1 < n) {
+      g.add_edge(static_cast<NodeId>(v), static_cast<NodeId>(v + 1));
+    }
+    if (v + w < n) {
+      g.add_edge(static_cast<NodeId>(v), static_cast<NodeId>(v + w));
+    }
+  }
+  return g;
+}
+
+/// A random spanning tree (vertex v hangs off a uniform earlier vertex)
+/// plus `extra` random chords: connected, with irregular degrees.
+Graph random_connected_graph(std::size_t n, std::size_t extra,
+                             std::uint64_t seed) {
+  hm::noc::Rng rng(seed);
+  Graph g(n);
+  for (std::size_t v = 1; v < n; ++v) {
+    g.add_edge(static_cast<NodeId>(v),
+               static_cast<NodeId>(rng.uniform_int(v)));
+  }
+  for (std::size_t i = 0; i < extra && n > 2; ++i) {
+    const auto a = static_cast<NodeId>(rng.uniform_int(n));
+    const auto b = static_cast<NodeId>(rng.uniform_int(n));
+    if (a != b && !g.has_edge(a, b)) g.add_edge(a, b);
   }
   return g;
 }
@@ -232,6 +269,51 @@ TEST(DistanceSummary, MatchesPerSourceBfs) {
   }
   // Path 0-1-2-3: ordered pairs sum to 2 * (3 * 1 + 2 * 2 + 1 * 3) = 20.
   EXPECT_EQ(hm::graph::distance_summary(path_graph(4)).total_distance, 20);
+}
+
+TEST(DistanceSummary, MatchesPerSourceBfsAcrossBatchBoundaries) {
+  // distance_summary runs 64 sources per pass; these sizes put a batch
+  // boundary just before, at and after every multiple of 64 up to 129.
+  // Long paths and sparse trees keep the frontier small (push steps);
+  // lattices and the denser random graphs grow it past an eighth of the
+  // vertices (sweep steps), and n = 700 mixes both within one pass.
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 700u}) {
+    std::vector<Graph> graphs = {path_graph(n), lattice_graph(n),
+                                 random_connected_graph(n, 0, n),
+                                 random_connected_graph(n, 2 * n, n + 1)};
+    if (n >= 3) graphs.push_back(cycle_graph(n));
+    for (const Graph& g : graphs) {
+      long long total = 0;
+      int diam = 0;
+      for (NodeId v = 0; v < n; ++v) {
+        for (const int d : hm::graph::bfs_distances(g, v)) {
+          ASSERT_NE(d, hm::graph::kUnreachable);
+          total += d;
+          diam = std::max(diam, d);
+        }
+      }
+      const auto s = hm::graph::distance_summary(g);
+      EXPECT_EQ(s.total_distance, total) << "n=" << n << " " << g.to_string();
+      EXPECT_EQ(s.diameter, diam) << "n=" << n << " " << g.to_string();
+      const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
+      EXPECT_EQ(s.average_distance,
+                n <= 1 ? 0.0 : static_cast<double>(total) / pairs)
+          << "n=" << n;
+    }
+  }
+}
+
+TEST(DistanceSummary, DisconnectedThrowsPastOneBatch) {
+  // An isolated vertex in the second batch, and two paths of 70 and 60
+  // vertices: every pass sees fewer than width * n reached pairs.
+  Graph tail = path_graph(100);
+  tail.add_node();
+  EXPECT_THROW((void)hm::graph::distance_summary(tail), std::invalid_argument);
+  Graph halves = path_graph(130);
+  halves.remove_edge(69, 70);
+  EXPECT_THROW((void)hm::graph::distance_summary(halves),
+               std::invalid_argument);
+  EXPECT_THROW((void)hm::graph::diameter(halves), std::invalid_argument);
 }
 
 TEST(DistanceSummary, TrivialAndDisconnected) {

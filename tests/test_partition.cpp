@@ -2,7 +2,9 @@
 // graphs, balance constraints, determinism, and agreement with the paper's
 // closed-form bisection widths on regular arrangements. Oracle tests pin
 // the gain-bucket FM refinement, the region growing and the coarsening
-// merge to plain reference implementations on random weighted graphs.
+// merge to plain reference implementations on random weighted graphs, and
+// the in-tree random draws to pinned outputs (and, under libstdc++, to the
+// std:: algorithms they reproduce).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "graph/graph.hpp"
 #include "noc/rng.hpp"
 #include "partition/coarsen.hpp"
+#include "partition/draws.hpp"
 #include "partition/fm_refine.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/wgraph.hpp"
@@ -187,6 +190,90 @@ TEST(Bisect, MoreStartsNeverWorse) {
             bisection_width(arr.graph(), few));
 }
 
+// --- The partitioner's draws ---------------------------------------------------
+
+using hm::partition::detail::uniform_below;
+
+std::vector<std::uint32_t> shuffled_iota(std::size_t n, std::mt19937& rng) {
+  std::vector<std::uint32_t> v(n);
+  std::iota(v.begin(), v.end(), 0);
+  hm::partition::detail::shuffle(v, rng);
+  return v;
+}
+
+TEST(Draws, FirstOutputsArePinned) {
+  // Literals from libstdc++ 12's uniform_int_distribution and std::shuffle
+  // on std::mt19937(1); a port of the draws that drifts fails here on any
+  // toolchain.
+  std::mt19937 rng(1);
+  std::vector<std::uint32_t> draws;
+  for (const std::uint32_t bound :
+       {1u, 2u, 3u, 7u, 24u, 100u, 640u, 4000000000u}) {
+    draws.push_back(uniform_below(rng, bound));
+  }
+  EXPECT_EQ(draws, (std::vector<std::uint32_t>{0, 1, 2, 6, 0, 12, 193,
+                                               3996162061u}));
+  EXPECT_EQ(rng(), 630311759u);
+
+  // Even and odd lengths: an even length swaps element 1 alone first.
+  std::mt19937 even(1);
+  EXPECT_EQ(shuffled_iota(10, even),
+            (std::vector<std::uint32_t>{9, 0, 2, 5, 7, 4, 6, 3, 1, 8}));
+  std::mt19937 odd(1);
+  EXPECT_EQ(shuffled_iota(9, odd),
+            (std::vector<std::uint32_t>{1, 0, 6, 3, 8, 4, 2, 7, 5}));
+}
+
+#if defined(_GLIBCXX_RELEASE) && _GLIBCXX_RELEASE >= 11
+// libstdc++ 11 and later draw bounded integers with Lemire's method; the
+// in-tree draws must consume the engine exactly as std:: does.
+TEST(Draws, MatchLibstdcxx) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 70; ++n) sizes.push_back(n);
+  for (const std::size_t n : {127u, 128u, 129u, 255u, 256u, 640u, 700u}) {
+    sizes.push_back(n);
+  }
+  int cases = 0;
+  for (unsigned seed = 0; seed < 200; ++seed) {
+    for (const std::size_t n : sizes) {
+      std::mt19937 want_rng(seed);
+      std::mt19937 got_rng(seed);
+      std::vector<std::uint32_t> want(n);
+      std::iota(want.begin(), want.end(), 0);
+      // HM_LINT allow(nondeterminism): the reference the in-tree shuffle reproduces
+      std::shuffle(want.begin(), want.end(), want_rng);
+      ASSERT_EQ(shuffled_iota(n, got_rng), want)
+          << "seed " << seed << " n=" << n;
+      for (std::uint32_t k = 1; k <= 8; ++k) {
+        const std::uint32_t bound =
+            k <= 4 ? static_cast<std::uint32_t>(n * k)
+                   : 0xFFFFFFFFu / k + static_cast<std::uint32_t>(n);
+        // HM_LINT allow(nondeterminism): the reference uniform_below reproduces
+        std::uniform_int_distribution<std::size_t> dist(0, bound - 1);
+        ASSERT_EQ(uniform_below(got_rng, bound), dist(want_rng))
+            << "seed " << seed << " n=" << n << " bound=" << bound;
+      }
+      ASSERT_TRUE(got_rng == want_rng) << "seed " << seed << " n=" << n;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 200 * 77);
+
+  // Past 65535 elements n^2 overflows the engine's range, and std::shuffle
+  // switches from two swaps per draw to one.
+  for (const std::size_t n : {65535u, 65536u}) {
+    std::mt19937 want_rng(3);
+    std::mt19937 got_rng(3);
+    std::vector<std::uint32_t> want(n);
+    std::iota(want.begin(), want.end(), 0);
+    // HM_LINT allow(nondeterminism): the reference the in-tree shuffle reproduces
+    std::shuffle(want.begin(), want.end(), want_rng);
+    EXPECT_EQ(shuffled_iota(n, got_rng), want) << "n=" << n;
+    EXPECT_TRUE(got_rng == want_rng) << "n=" << n;
+  }
+}
+#endif
+
 // --- Oracles for the refinement and coarsening internals --------------------
 
 using hm::partition::detail::WeightedGraph;
@@ -221,7 +308,7 @@ long long reference_fm_refine(const WeightedGraph& g, std::vector<int>& side,
     std::vector<char> locked(n, 0);
     std::vector<long long> gain(n, 0);
     for (std::uint32_t v = 0; v < n; ++v) {
-      for (const auto& [u, w] : g.adj[v]) {
+      for (const auto& [u, w] : g.row(v)) {
         gain[v] += (side[u] != side[v]) ? w : -w;
       }
     }
@@ -261,7 +348,7 @@ long long reference_fm_refine(const WeightedGraph& g, std::vector<int>& side,
       locked[best_v] = 1;
       running_cut -= best_gain;
       moves.push_back(best_v);
-      for (const auto& [u, w] : g.adj[best_v]) {
+      for (const auto& [u, w] : g.row(best_v)) {
         if (locked[u]) continue;
         gain[u] += (side[u] == side[best_v]) ? -2LL * w : 2LL * w;
       }
@@ -284,15 +371,28 @@ long long reference_fm_refine(const WeightedGraph& g, std::vector<int>& side,
   return cut;
 }
 
+using hm::partition::detail::WeightedEdge;
+
+/// Packs per-vertex adjacency lists into the CSR form.
+WeightedGraph from_lists(std::vector<int> node_weight,
+                         const std::vector<std::vector<WeightedEdge>>& adj) {
+  WeightedGraph g;
+  g.node_weight = std::move(node_weight);
+  for (const auto& list : adj) {
+    g.edges.insert(g.edges.end(), list.begin(), list.end());
+    g.offset.push_back(static_cast<std::uint32_t>(g.edges.size()));
+  }
+  return g;
+}
+
 /// Random weighted graph: node weights in [1, max_node_weight], each vertex
 /// pair joined with probability `p` by an edge of weight in
-/// [1, max_edge_weight]. Adjacency lists come out sorted by neighbour id.
+/// [1, max_edge_weight]. Rows come out sorted by neighbour id.
 WeightedGraph random_wgraph(hm::noc::Rng& rng, std::size_t n, double p,
                             int max_node_weight, int max_edge_weight) {
-  WeightedGraph g;
-  g.node_weight.resize(n);
-  g.adj.resize(n);
-  for (int& w : g.node_weight) {
+  std::vector<int> node_weight(n);
+  std::vector<std::vector<WeightedEdge>> adj(n);
+  for (int& w : node_weight) {
     w = 1 + static_cast<int>(rng.uniform_int(
                 static_cast<std::uint64_t>(max_node_weight)));
   }
@@ -301,11 +401,11 @@ WeightedGraph random_wgraph(hm::noc::Rng& rng, std::size_t n, double p,
       if (!rng.bernoulli(p)) continue;
       const int w = 1 + static_cast<int>(rng.uniform_int(
                             static_cast<std::uint64_t>(max_edge_weight)));
-      g.adj[a].emplace_back(b, w);
-      g.adj[b].emplace_back(a, w);
+      adj[a].emplace_back(b, w);
+      adj[b].emplace_back(a, w);
     }
   }
-  return g;
+  return from_lists(std::move(node_weight), adj);
 }
 
 TEST(FmOracle, GainBucketsPickTheSameMovesAsTheLinearScan) {
@@ -391,7 +491,7 @@ std::vector<int> reference_grow(const WeightedGraph& g, std::uint32_t seed,
       }
       long long conn = 0;
       bool touches = false;
-      for (const auto& [u, w] : g.adj[v]) {
+      for (const auto& [u, w] : g.row(v)) {
         if (side[u] == 0) {
           conn += w;
           touches = true;
@@ -441,25 +541,21 @@ TEST(GrowOracle, MatchesTheRescanningReference) {
 WeightedGraph reference_merge(const WeightedGraph& g,
                               const std::vector<std::uint32_t>& map,
                               std::size_t coarse_n) {
-  WeightedGraph out;
-  out.node_weight.assign(coarse_n, 0);
-  out.adj.resize(coarse_n);
+  std::vector<int> node_weight(coarse_n, 0);
   for (std::uint32_t v = 0; v < g.n(); ++v) {
-    out.node_weight[map[v]] += g.node_weight[v];
+    node_weight[map[v]] += g.node_weight[v];
   }
   std::vector<std::map<std::uint32_t, int>> merged(coarse_n);
   for (std::uint32_t v = 0; v < g.n(); ++v) {
-    for (const auto& [u, w] : g.adj[v]) {
-      if (map[v] < map[u]) merged[map[v]][map[u]] += w;
+    for (const auto& [u, w] : g.row(v)) {
+      if (map[v] != map[u]) merged[map[v]][map[u]] += w;
     }
   }
+  std::vector<std::vector<WeightedEdge>> adj(coarse_n);
   for (std::uint32_t cv = 0; cv < coarse_n; ++cv) {
-    for (const auto& [cu, w] : merged[cv]) {
-      out.adj[cv].emplace_back(cu, w);
-      out.adj[cu].emplace_back(cv, w);
-    }
+    adj[cv].assign(merged[cv].begin(), merged[cv].end());
   }
-  return out;
+  return from_lists(std::move(node_weight), adj);
 }
 
 TEST(CoarsenOracle, MergeMatchesOrderedMapReference) {
@@ -480,7 +576,7 @@ TEST(CoarsenOracle, MergeMatchesOrderedMapReference) {
     // The matching consumes exactly one shuffle of the vertex order.
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0);
-    std::shuffle(order.begin(), order.end(), shadow);
+    hm::partition::detail::shuffle(order, shadow);
     EXPECT_TRUE(rng == shadow) << "trial " << trial;
 
     // Every coarse vertex holds one fine vertex or a pair.
@@ -492,9 +588,29 @@ TEST(CoarsenOracle, MergeMatchesOrderedMapReference) {
     }
     for (const int m : members) EXPECT_TRUE(m == 1 || m == 2);
 
-    const WeightedGraph want = reference_merge(g, level.map, level.graph.n());
-    EXPECT_EQ(level.graph.node_weight, want.node_weight) << "trial " << trial;
-    EXPECT_EQ(level.graph.adj, want.adj) << "trial " << trial;
+    const WeightedGraph& got = level.graph;
+    const WeightedGraph want = reference_merge(g, level.map, got.n());
+    EXPECT_EQ(got.node_weight, want.node_weight) << "trial " << trial;
+    EXPECT_EQ(got.offset, want.offset) << "trial " << trial;
+    EXPECT_EQ(got.edges, want.edges) << "trial " << trial;
+
+    // Every row is strictly sorted, and every edge has its mirror.
+    ASSERT_EQ(got.offset.size(), got.n() + 1);
+    ASSERT_EQ(got.offset.back(), got.edges.size());
+    for (std::uint32_t cv = 0; cv < got.n(); ++cv) {
+      const auto row = got.row(cv);
+      for (std::size_t i = 1; i < row.size(); ++i) {
+        EXPECT_LT(row[i - 1].first, row[i].first) << "trial " << trial;
+      }
+      for (const auto& [cu, w] : row) {
+        const auto mirror = got.row(cu);
+        const auto it = std::lower_bound(mirror.begin(), mirror.end(),
+                                         WeightedEdge{cv, 0});
+        ASSERT_TRUE(it != mirror.end() && it->first == cv)
+            << "trial " << trial << " edge " << cv << "-" << cu;
+        EXPECT_EQ(it->second, w) << "trial " << trial;
+      }
+    }
   }
 }
 
