@@ -10,11 +10,14 @@ literals are blanked before matching, so the rules see code, not prose.
 
 Rules
 -----
-  nondeterminism   (R1) std::rand / srand / random_device, time-based
-                   seeding, and this-pointer hashing are banned outside
-                   src/noc/rng.hpp and src/util/stable_hash.hpp. All
-                   randomness must flow from noc::Rng / noc::derive_seed;
-                   all hashing from util::StableHash.
+  nondeterminism   (R1) std::rand / srand / random_device, the standard
+                   library's implementation-defined draws
+                   (std::*_distribution, std::shuffle, std::sample),
+                   time-based seeding, and this-pointer hashing are banned
+                   outside src/noc/rng.hpp and src/util/stable_hash.hpp.
+                   All randomness must flow from noc::Rng / noc::derive_seed
+                   (or the partitioner's in-tree std::mt19937 draws); all
+                   hashing from util::StableHash.
   unordered-iter   (R2) iterating a std::unordered_map/unordered_set is
                    implementation-ordered. Any such loop must either
                    materialize + sort before feeding an ordered consumer
@@ -389,6 +392,11 @@ R1_PATTERNS = (
     (re.compile(r"\bstd::rand\b|\brand\s*\(\s*\)"), "std::rand"),
     (re.compile(r"\bsrand\s*\("), "srand"),
     (re.compile(r"\brandom_device\b"), "std::random_device"),
+    # The standard fixes the engines' output but leaves these algorithms to
+    # the library, so libc++ or MSVC would draw different values.
+    (re.compile(r"\bstd::\w+_distribution\b"), "std::*_distribution"),
+    (re.compile(r"\bstd::(?:ranges::)?shuffle\b"), "std::shuffle"),
+    (re.compile(r"\bstd::(?:ranges::)?sample\b"), "std::sample"),
 )
 R1_TIME_RE = re.compile(
     r"::now\s*\(\s*\)|\btime\s*\(\s*(?:NULL|nullptr|0)\s*\)|\bclock\s*\(\s*\)"
