@@ -68,6 +68,11 @@ std::uint64_t hash_simulation_params(const core::EvaluationParams& params) {
       .mix_f(f.recovery_threshold)
       .mix_i(f.recovery_window)
       .mix(f.explicit_plans.size());
+  // Recovery windows restart at the first kill since this literal was
+  // added, which changed every fault metric; mixing it only for enabled
+  // scenarios makes stale fault records miss and leaves fault-free keys
+  // as they were.
+  if (f.enabled()) h.mix(std::uint64_t{0x7265636f76657279});  // "recovery"
   for (const faults::FaultPlan& plan : f.explicit_plans) {
     // The retired FaultPlan flag that let kills partition the network
     // (default false); mixing the literal keeps every existing store key

@@ -100,6 +100,11 @@ void FaultController::apply_batch(noc::Network& net, noc::Cycle now) {
                    : 0.0;
       have_pre_rate_ = true;
     }
+    // Recovery is counted in whole windows from the kill: the window in
+    // progress still holds pre-kill cycles, so it is dropped and the next
+    // one starts here.
+    window_start_count_ = net.total_flits_ejected();
+    window_end_ = now + plan_.recovery_window;
   }
 
   // The batch's net effect, in ascending edge order: links killed and not

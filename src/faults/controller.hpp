@@ -95,8 +95,9 @@ class FaultController {
   /// incrementally from the previous one.
   std::shared_ptr<const noc::TopologyContext> live_topo_;
 
-  // Recovery sampling: fixed windows [arm + k*W, arm + (k+1)*W), closed
-  // lazily from the monotone delivered-flit counter.
+  // Recovery sampling: back-to-back windows of W cycles from the arm cycle,
+  // restarted at the first kill, closed lazily from the monotone
+  // delivered-flit counter.
   noc::Cycle window_end_ = 0;
   std::uint64_t window_start_count_ = 0;
   std::uint64_t arm_delivered_ = 0;

@@ -59,7 +59,10 @@ struct FaultPlan {
   noc::Cycle reconvergence_delay = 0;
 
   /// Recovery = first post-kill sampling window whose delivered-flit rate
-  /// reaches `recovery_threshold` x the pre-fault rate.
+  /// reaches `recovery_threshold` x the pre-fault rate. Windows run
+  /// back to back from the arm cycle; the first kill drops the partial
+  /// window and starts the next one, so recovery takes a whole number of
+  /// windows.
   double recovery_threshold = 0.9;
   noc::Cycle recovery_window = 512;
 
@@ -93,7 +96,9 @@ struct ResilienceStats {
   double pre_fault_rate = 0.0;  ///< last full window before the first kill
   double degraded_rate = 0.0;   ///< worst post-kill window before recovery
   noc::Cycle first_kill_cycle = -1;
-  noc::Cycle recovery_cycles = -1;  ///< -1: not recovered within the run
+  /// Cycles from the first kill to the end of the recovering window, a
+  /// multiple of recovery_window; -1: not recovered within the run.
+  noc::Cycle recovery_cycles = -1;
   bool recovered = false;
 };
 

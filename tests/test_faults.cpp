@@ -10,7 +10,8 @@
 //    dropped), deterministically across skip-idle modes, reconvergence
 //    windows and repeated runs.
 //  - Recovery metrics behave: finite recovery time at a survivable kill,
-//    monotone in the recovery threshold, degraded rate <= pre-fault rate.
+//    counted in whole windows from the kill, monotone in the recovery
+//    threshold, degraded rate <= pre-fault rate.
 //  - A repair brings the killed link back.
 #include <gtest/gtest.h>
 
@@ -265,6 +266,30 @@ TEST(Faults, RecoveryTimeIsMonotoneInThreshold) {
     EXPECT_LE(obs.stats.degraded_rate, obs.stats.pre_fault_rate * 1.1)
         << "threshold=" << threshold;
     prev_recovery = obs.stats.recovery_cycles;
+  }
+}
+
+TEST(Faults, RecoveryIsCountedInWholeWindowsFromTheKill) {
+  // Kills off a window boundary: the window in progress at the kill holds
+  // pre-kill cycles, so it must not count toward recovery. Recovery then
+  // spans whole windows from the kill, in both stepping modes.
+  const Graph g = make_arrangement(ArrangementType::kHexaMesh, 37).graph();
+  const auto edge = first_non_bridge(g);
+  for (const Cycle kill_at : {Cycle{300}, Cycle{700}, Cycle{1100}}) {
+    const FaultPlan plan = kill_link_plan(edge.first, edge.second, kill_at);
+    ASSERT_NE(kill_at % plan.recovery_window, 0);
+    SimConfig cfg;
+    cfg.seed = 13;
+    cfg.skip_idle = true;
+    const Observed active = run_faulted(g, cfg, plan);
+    cfg.skip_idle = false;
+    const Observed dense = run_faulted(g, cfg, plan);
+    const std::string ctx = "kill_at=" + std::to_string(kill_at);
+    expect_same(active, dense, ctx);
+    ASSERT_TRUE(active.stats.recovered) << ctx;
+    EXPECT_GT(active.stats.recovery_cycles, 0) << ctx;
+    EXPECT_EQ(active.stats.recovery_cycles % plan.recovery_window, 0)
+        << ctx << " recovery_cycles=" << active.stats.recovery_cycles;
   }
 }
 
