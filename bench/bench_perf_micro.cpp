@@ -87,8 +87,11 @@ void bench_graph() {
                g_smoke ? 0.02 : 0.2, 3));
   }
   // Hundreds of chiplets, the top of analytic-scale's range: where the
-  // per-move cost of FM refinement shows.
+  // per-move cost of FM refinement and the all-pairs distance sweep show.
   const auto big = make_arrangement(ArrangementType::kHexaMesh, 640);
+  report("diameter.n640",
+         time_median([&] { (void)hm::graph::diameter(big.graph()); },
+                     g_smoke ? 0.05 : 0.3, 3));
   report("bisection.n640",
          time_median(
              [&] { (void)hm::partition::bisection_width(big.graph()); },
