@@ -2,7 +2,9 @@
 # Thread-count identity of the CLI exports. The determinism contract says
 # one spec gives the same bytes at any thread count, so design_sweep's CSV
 # and JSON exports and search_arrangement's trace must be byte-identical at
-# 1 and 4 threads.
+# 1 and 4 threads. The six runs are independent processes and run
+# concurrently: under a sanitizer the single-threaded reference runs would
+# otherwise dominate the wall time.
 #
 #   sh tests/e2e/thread_identity.sh path/to/design_sweep \
 #       path/to/search_arrangement
@@ -12,12 +14,20 @@ search=$2
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
+pids=
 for t in 1 4; do
-  "$sweep" --threads "$t" --csv "$dir/sweep_t$t.csv" 4 7 9 > /dev/null
-  "$sweep" --threads "$t" --csv "$dir/sweep_t$t.json" 4 7 9 > /dev/null
+  "$sweep" --threads "$t" --csv "$dir/sweep_t$t.csv" 4 7 9 > /dev/null &
+  pids="$pids $!"
+  "$sweep" --threads "$t" --csv "$dir/sweep_t$t.json" 4 7 9 > /dev/null &
+  pids="$pids $!"
   "$search" hexamesh 13 4 --threads "$t" --trace "$dir/trace_t$t.csv" \
-    > /dev/null
+    > /dev/null &
+  pids="$pids $!"
 done
+for pid in $pids; do
+  wait "$pid"
+done
+
 for f in sweep.csv sweep.json trace.csv; do
   base=${f%.*}
   ext=${f##*.}
