@@ -68,10 +68,9 @@ std::uint64_t hash_simulation_params(const core::EvaluationParams& params) {
       .mix_f(f.recovery_threshold)
       .mix_i(f.recovery_window)
       .mix(f.explicit_plans.size());
-  // Recovery windows restart at the first kill since this literal was
-  // added, which changed every fault metric; mixing it only for enabled
-  // scenarios makes stale fault records miss and leaves fault-free keys
-  // as they were.
+  // Marks fault results measured with recovery windows restarted at the
+  // first kill: records stored before that miss, and fault-free keys,
+  // which never mix it, stay as they were.
   if (f.enabled()) h.mix(std::uint64_t{0x7265636f76657279});  // "recovery"
   for (const faults::FaultPlan& plan : f.explicit_plans) {
     // The retired FaultPlan flag that let kills partition the network

@@ -1,7 +1,8 @@
 // Graph algorithms used by the arrangement analysis (paper Sec. III-C and
 // IV-D): BFS distances, diameter (latency proxy), average
 // shortest-path distance (zero-load-latency predictor), connectivity, and the
-// planar average-degree bound of Sec. IV-A.
+// planar average-degree bound of Sec. IV-A. The diameter and the average
+// come from one bit-parallel all-pairs sweep (distance_summary).
 #pragma once
 
 #include <cstdint>
@@ -31,10 +32,16 @@ struct DistanceSummary {
   double average_distance = 0.0;
 };
 
-/// One BFS per source over a flat copy of the adjacency lists, with the
-/// queue and visit marks reused across sources. Throws
+/// All-pairs BFS over a flat copy of the adjacency lists, 64 sources per
+/// pass as bit-parallel words: bit i of a vertex's word belongs to source
+/// base + i, a level ORs the neighbours' frontier words and masks out the
+/// bits already seen, and each level adds depth x (new bits) to the total.
+/// While the frontier holds at least an eighth of the vertices a level
+/// sweeps every vertex; below that, only frontier vertices push to their
+/// neighbours (direction-optimizing BFS, Beamer et al., SC 2012), which
+/// keeps long thin graphs such as paths from costing O(n^3 / 64). Throws
 /// std::invalid_argument if the graph is disconnected; all zeros for graphs
-/// with <= 1 vertex.
+/// with <= 1 vertex. bfs_distances is the per-source reference.
 [[nodiscard]] DistanceSummary distance_summary(const Graph& g);
 
 /// Network diameter: the maximum over all vertex pairs of the shortest-path
