@@ -246,13 +246,27 @@ TEST(AverageDistance, SingleVertexIsZero) {
 // --- One sweep for both --------------------------------------------------------
 
 TEST(DistanceSummary, MatchesPerSourceBfs) {
-  for (const Graph& g : {path_graph(4), cycle_graph(9), grid_graph(5, 3),
-                         complete_graph(6)}) {
-    const auto n = static_cast<hm::graph::NodeId>(g.node_count());
+  std::vector<Graph> graphs = {path_graph(4), cycle_graph(9),
+                               grid_graph(5, 3), complete_graph(6)};
+  // distance_summary runs 64 sources per pass; these sizes put a batch
+  // boundary just before, at and after every multiple of 64 up to 129.
+  // Long paths and sparse trees keep the frontier small (push steps);
+  // lattices and the denser random graphs grow it past an eighth of the
+  // vertices (sweep steps), and n = 700 mixes both within one pass.
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 700u}) {
+    graphs.push_back(path_graph(n));
+    graphs.push_back(lattice_graph(n));
+    graphs.push_back(random_connected_graph(n, 0, n));
+    graphs.push_back(random_connected_graph(n, 2 * n, n + 1));
+    if (n >= 3) graphs.push_back(cycle_graph(n));
+  }
+  for (const Graph& g : graphs) {
+    const auto n = static_cast<NodeId>(g.node_count());
     long long total = 0;
     int diam = 0;
-    for (hm::graph::NodeId v = 0; v < n; ++v) {
+    for (NodeId v = 0; v < n; ++v) {
       for (const int d : hm::graph::bfs_distances(g, v)) {
+        ASSERT_NE(d, hm::graph::kUnreachable);
         total += d;
         diam = std::max(diam, d);
       }
@@ -261,59 +275,15 @@ TEST(DistanceSummary, MatchesPerSourceBfs) {
     EXPECT_EQ(s.total_distance, total) << g.to_string();
     EXPECT_EQ(s.diameter, diam) << g.to_string();
     EXPECT_EQ(s.average_distance,
-              static_cast<double>(total) /
-                  (static_cast<double>(n) * static_cast<double>(n - 1)))
+              n <= 1 ? 0.0
+                     : static_cast<double>(total) /
+                           (static_cast<double>(n) * static_cast<double>(n - 1)))
         << g.to_string();
     EXPECT_EQ(hm::graph::diameter(g), s.diameter);
     EXPECT_EQ(hm::graph::average_distance(g), s.average_distance);
   }
   // Path 0-1-2-3: ordered pairs sum to 2 * (3 * 1 + 2 * 2 + 1 * 3) = 20.
   EXPECT_EQ(hm::graph::distance_summary(path_graph(4)).total_distance, 20);
-}
-
-TEST(DistanceSummary, MatchesPerSourceBfsAcrossBatchBoundaries) {
-  // distance_summary runs 64 sources per pass; these sizes put a batch
-  // boundary just before, at and after every multiple of 64 up to 129.
-  // Long paths and sparse trees keep the frontier small (push steps);
-  // lattices and the denser random graphs grow it past an eighth of the
-  // vertices (sweep steps), and n = 700 mixes both within one pass.
-  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 700u}) {
-    std::vector<Graph> graphs = {path_graph(n), lattice_graph(n),
-                                 random_connected_graph(n, 0, n),
-                                 random_connected_graph(n, 2 * n, n + 1)};
-    if (n >= 3) graphs.push_back(cycle_graph(n));
-    for (const Graph& g : graphs) {
-      long long total = 0;
-      int diam = 0;
-      for (NodeId v = 0; v < n; ++v) {
-        for (const int d : hm::graph::bfs_distances(g, v)) {
-          ASSERT_NE(d, hm::graph::kUnreachable);
-          total += d;
-          diam = std::max(diam, d);
-        }
-      }
-      const auto s = hm::graph::distance_summary(g);
-      EXPECT_EQ(s.total_distance, total) << "n=" << n << " " << g.to_string();
-      EXPECT_EQ(s.diameter, diam) << "n=" << n << " " << g.to_string();
-      const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
-      EXPECT_EQ(s.average_distance,
-                n <= 1 ? 0.0 : static_cast<double>(total) / pairs)
-          << "n=" << n;
-    }
-  }
-}
-
-TEST(DistanceSummary, DisconnectedThrowsPastOneBatch) {
-  // An isolated vertex in the second batch, and two paths of 70 and 60
-  // vertices: every pass sees fewer than width * n reached pairs.
-  Graph tail = path_graph(100);
-  tail.add_node();
-  EXPECT_THROW((void)hm::graph::distance_summary(tail), std::invalid_argument);
-  Graph halves = path_graph(130);
-  halves.remove_edge(69, 70);
-  EXPECT_THROW((void)hm::graph::distance_summary(halves),
-               std::invalid_argument);
-  EXPECT_THROW((void)hm::graph::diameter(halves), std::invalid_argument);
 }
 
 TEST(DistanceSummary, TrivialAndDisconnected) {
@@ -325,6 +295,15 @@ TEST(DistanceSummary, TrivialAndDisconnected) {
   g.add_edge(0, 1);
   g.add_edge(2, 3);
   EXPECT_THROW((void)hm::graph::distance_summary(g), std::invalid_argument);
+  // Past one 64-source pass: an isolated vertex in the second batch, and
+  // two paths of 70 and 60 vertices.
+  Graph tail = path_graph(100);
+  tail.add_node();
+  EXPECT_THROW((void)hm::graph::distance_summary(tail), std::invalid_argument);
+  Graph halves = path_graph(130);
+  halves.remove_edge(69, 70);
+  EXPECT_THROW((void)hm::graph::distance_summary(halves),
+               std::invalid_argument);
 }
 
 // --- Connectivity ------------------------------------------------------------
