@@ -124,6 +124,16 @@ TEST(StableHashing, ParamsSensitivity) {
   q.sim.seed += 1;  // seeds matter for simulation, not analytic
   EXPECT_EQ(hash_analytic_params(p), hash_analytic_params(q));
   EXPECT_NE(hash_simulation_params(p), hash_simulation_params(q));
+
+  // Store keys of existing result stores: any edit to the hashed fields or
+  // their order must leave these digests as they are.
+  EXPECT_EQ(hash_analytic_params(p), 0x638393d1955de912ULL);
+  EXPECT_EQ(hash_simulation_params(p), 0x18ea345eeb77f124ULL);
+  q = p;
+  q.faults.single_link_kills = 2;
+  q.faults.storm_kills = 1;
+  EXPECT_EQ(hash_analytic_params(q), 0x638393d1955de912ULL);
+  EXPECT_EQ(hash_simulation_params(q), 0xc61c425b8bb0298eULL);
 }
 
 TEST(StableHashing, TrafficSensitivity) {
