@@ -15,10 +15,14 @@ namespace {
 using detail::CoarseLevel;
 using detail::WeightedGraph;
 
+constexpr unsigned kSeed = 1;
+/// Independent V-cycles per bisection; the best cut wins.
+constexpr int kStarts = 12;
+
 /// One full multilevel V-cycle from a random seed; returns the refined side
 /// assignment for the original graph.
 std::vector<int> vcycle(const WeightedGraph& g0, std::mt19937& rng,
-                        long long max_part_weight, bool multilevel) {
+                        long long max_part_weight) {
   // --- Coarsening phase ---------------------------------------------------
   // Level 0 is g0 itself; coarse[i] is level i + 1, and maps[i] maps level
   // i's vertices onto level i + 1's.
@@ -27,18 +31,16 @@ std::vector<int> vcycle(const WeightedGraph& g0, std::mt19937& rng,
   const auto graph_at = [&](std::size_t lvl) -> const WeightedGraph& {
     return lvl == 0 ? g0 : coarse[lvl - 1];
   };
-  if (multilevel) {
-    // Cap merged vertex weight so the coarsest graph stays balanceable.
-    const int max_nw = std::max<int>(
-        2, static_cast<int>(g0.total_node_weight() / 10));
-    while (graph_at(coarse.size()).n() > 24) {
-      const WeightedGraph& finest = graph_at(coarse.size());
-      CoarseLevel level = detail::coarsen_once(finest, rng, max_nw);
-      // Stop if matching no longer shrinks the graph meaningfully.
-      if (level.graph.n() >= finest.n() * 95 / 100) break;
-      maps.push_back(std::move(level.map));
-      coarse.push_back(std::move(level.graph));
-    }
+  // Cap merged vertex weight so the coarsest graph stays balanceable.
+  const int max_nw =
+      std::max<int>(2, static_cast<int>(g0.total_node_weight() / 10));
+  while (graph_at(coarse.size()).n() > 24) {
+    const WeightedGraph& finest = graph_at(coarse.size());
+    CoarseLevel level = detail::coarsen_once(finest, rng, max_nw);
+    // Stop if matching no longer shrinks the graph meaningfully.
+    if (level.graph.n() >= finest.n() * 95 / 100) break;
+    maps.push_back(std::move(level.map));
+    coarse.push_back(std::move(level.graph));
   }
 
   // --- Initial partition on the coarsest graph ----------------------------
@@ -75,7 +77,7 @@ std::vector<int> vcycle(const WeightedGraph& g0, std::mt19937& rng,
 
 }  // namespace
 
-BisectionResult bisect(const graph::Graph& g, const BisectionOptions& opts) {
+BisectionResult bisect(const graph::Graph& g) {
   BisectionResult result;
   const std::size_t n = g.node_count();
   result.side.assign(n, 0);
@@ -85,14 +87,13 @@ BisectionResult bisect(const graph::Graph& g, const BisectionOptions& opts) {
   }
 
   const WeightedGraph wg = detail::from_graph(g);
-  const long long max_part_weight =
-      static_cast<long long>((n + 1) / 2 + opts.extra_imbalance);
+  const auto max_part_weight = static_cast<long long>((n + 1) / 2);
 
-  std::mt19937 rng(opts.seed);
+  std::mt19937 rng(kSeed);
   long long best_cut = -1;
   std::vector<int> best_side;
-  for (int s = 0; s < std::max(1, opts.num_starts); ++s) {
-    auto side = vcycle(wg, rng, max_part_weight, opts.multilevel);
+  for (int s = 0; s < kStarts; ++s) {
+    auto side = vcycle(wg, rng, max_part_weight);
     const long long cut = detail::cut_weight(wg, side);
     if (best_cut < 0 || cut < best_cut) {
       best_cut = cut;
@@ -107,9 +108,8 @@ BisectionResult bisect(const graph::Graph& g, const BisectionOptions& opts) {
   return result;
 }
 
-std::size_t bisection_width(const graph::Graph& g,
-                            const BisectionOptions& opts) {
-  return bisect(g, opts).cut_edges;
+std::size_t bisection_width(const graph::Graph& g) {
+  return bisect(g).cut_edges;
 }
 
 }  // namespace hm::partition

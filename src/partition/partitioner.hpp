@@ -19,33 +19,21 @@ struct BisectionResult {
   std::vector<int> side;
   /// Number of edges crossing between the halves (the bisection width).
   std::size_t cut_edges = 0;
-  /// Vertex counts of the two halves; differ by at most the allowed imbalance.
+  /// Vertex counts of the two halves; differ by at most one.
   std::array<std::size_t, 2> part_sizes{0, 0};
 };
 
-/// Tuning knobs for the multilevel bisection.
-struct BisectionOptions {
-  /// RNG seed; identical seeds give identical results.
-  unsigned seed = 1;
-  /// Number of independent multi-start attempts; the best cut wins.
-  int num_starts = 12;
-  /// Extra vertices the larger half may hold beyond ceil(n/2).
-  /// 0 reproduces the exact-bisection definition used by the paper.
-  std::size_t extra_imbalance = 0;
-  /// Enable multilevel (coarsen/refine) search; single-level FM otherwise.
-  bool multilevel = true;
-};
-
-/// Computes a balanced bisection of `g` minimizing the edge cut.
-/// Multilevel heavy-edge-matching + FM (the METIS algorithm family). Exact
-/// on small regular arrangements in practice; always returns a feasible
-/// balanced partition. Graphs with < 2 vertices get a trivial all-zero side.
-[[nodiscard]] BisectionResult bisect(const graph::Graph& g,
-                                     const BisectionOptions& opts = {});
+/// Computes a balanced bisection of `g` minimizing the edge cut: the best
+/// of 12 multilevel heavy-edge-matching + FM V-cycles (the METIS algorithm
+/// family) drawn from one fixed seed, so equal graphs always get equal cuts.
+/// Balance is exact, as in the paper's bisection definition: the halves
+/// hold floor(n/2) and ceil(n/2) vertices. Optimal on small regular
+/// arrangements in practice. Graphs with < 2 vertices get a trivial
+/// all-zero side.
+[[nodiscard]] BisectionResult bisect(const graph::Graph& g);
 
 /// Convenience wrapper returning only the cut size (the paper's estimated
 /// bisection bandwidth in links).
-[[nodiscard]] std::size_t bisection_width(const graph::Graph& g,
-                                          const BisectionOptions& opts = {});
+[[nodiscard]] std::size_t bisection_width(const graph::Graph& g);
 
 }  // namespace hm::partition

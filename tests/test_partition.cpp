@@ -34,7 +34,6 @@ namespace {
 using hm::graph::Graph;
 using hm::graph::NodeId;
 using hm::partition::bisect;
-using hm::partition::BisectionOptions;
 using hm::partition::bisection_width;
 
 Graph path_graph(std::size_t n) {
@@ -117,27 +116,10 @@ TEST(Bisect, SideAssignmentMatchesCut) {
 
 TEST(Bisect, DeterministicForFixedSeed) {
   Graph g = cycle_graph(20);
-  BisectionOptions opts;
-  opts.seed = 7;
-  const auto a = bisect(g, opts);
-  const auto b = bisect(g, opts);
+  const auto a = bisect(g);
+  const auto b = bisect(g);
   EXPECT_EQ(a.side, b.side);
   EXPECT_EQ(a.cut_edges, b.cut_edges);
-}
-
-TEST(Bisect, ExtraImbalanceAllowsLooserParts) {
-  BisectionOptions opts;
-  opts.extra_imbalance = 2;
-  const auto result = bisect(path_graph(9), opts);
-  const auto big = std::max(result.part_sizes[0], result.part_sizes[1]);
-  EXPECT_LE(big, 7u);
-  EXPECT_EQ(result.cut_edges, 1u);
-}
-
-TEST(Bisect, SingleLevelModeAlsoWorks) {
-  BisectionOptions opts;
-  opts.multilevel = false;
-  EXPECT_EQ(bisection_width(cycle_graph(16), opts), 2u);
 }
 
 // --- Agreement with the paper's closed forms on regular arrangements --------
@@ -178,16 +160,6 @@ TEST(BisectVsFormula, HeuristicNeverBeatsOptimalOnOddGrid) {
     const auto arr = hm::core::make_grid_regular(side);
     EXPECT_GE(bisection_width(arr.graph()), side);
   }
-}
-
-TEST(Bisect, MoreStartsNeverWorse) {
-  const auto arr = hm::core::make_hexamesh(50);
-  BisectionOptions few;
-  few.num_starts = 1;
-  BisectionOptions many;
-  many.num_starts = 16;
-  EXPECT_LE(bisection_width(arr.graph(), many),
-            bisection_width(arr.graph(), few));
 }
 
 // --- The partitioner's draws ---------------------------------------------------

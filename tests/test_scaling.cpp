@@ -71,18 +71,14 @@ TEST(LargePartition, NearOptimalAtN196) {
   // paper's range the partitioner matches the closed forms exactly (see
   // BisectVsFormula tests).
   const auto arr = make_grid_regular(14);
-  hm::partition::BisectionOptions opts;
-  opts.num_starts = 16;
-  const auto cut = hm::partition::bisection_width(arr.graph(), opts);
+  const auto cut = hm::partition::bisection_width(arr.graph());
   EXPECT_GE(cut, 14u);
   EXPECT_LE(cut, 18u);
 }
 
 TEST(LargePartition, HexameshRegularRings8) {
   const auto arr = make_hexamesh_regular(8);  // N = 217, bisection 33
-  hm::partition::BisectionOptions opts;
-  opts.num_starts = 16;
-  const auto cut = hm::partition::bisection_width(arr.graph(), opts);
+  const auto cut = hm::partition::bisection_width(arr.graph());
   EXPECT_GE(cut, 33u);           // heuristic can't beat the optimum
   EXPECT_LE(cut, 33u + 3u);      // and should land very close to it
 }
