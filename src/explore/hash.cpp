@@ -65,8 +65,11 @@ std::uint64_t hash_simulation_params(const core::EvaluationParams& params) {
       .mix_f(f.offered_rate)
       .mix_i(f.warmup)
       .mix_i(f.measure)
-      .mix_f(f.recovery_threshold)
-      .mix_i(f.recovery_window)
+      // Where the retired recovery fields sat, here and per explicit plan:
+      // the constants they became, so existing store keys stay valid and a
+      // change to either constant moves every fault key.
+      .mix_f(faults::kRecoveryThreshold)
+      .mix_i(faults::kRecoveryWindow)
       .mix(f.explicit_plans.size());
   // Marks fault results measured with recovery windows restarted at the
   // first kill: records stored before that miss, and fault-free keys,
@@ -78,8 +81,8 @@ std::uint64_t hash_simulation_params(const core::EvaluationParams& params) {
     // valid.
     h.mix_b(false)
         .mix_i(plan.reconvergence_delay)
-        .mix_f(plan.recovery_threshold)
-        .mix_i(plan.recovery_window)
+        .mix_f(faults::kRecoveryThreshold)
+        .mix_i(faults::kRecoveryWindow)
         .mix(plan.events.size());
     for (const faults::FaultEvent& e : plan.events) {
       h.mix_i(e.at).mix(static_cast<std::uint64_t>(e.kind)).mix(e.a).mix(e.b);

@@ -31,7 +31,7 @@ void FaultController::arm(noc::Network& net, noc::Cycle now) {
   killed_links_.clear();
   live_topo_ = base_topo_;
 
-  window_end_ = now + plan_.recovery_window;
+  window_end_ = now + kRecoveryWindow;
   arm_delivered_ = net.total_flits_ejected();
   window_start_count_ = arm_delivered_;
 }
@@ -104,7 +104,7 @@ void FaultController::apply_batch(noc::Network& net, noc::Cycle now) {
     // progress still holds pre-kill cycles, so it is dropped and the next
     // one starts here.
     window_start_count_ = net.total_flits_ejected();
-    window_end_ = now + plan_.recovery_window;
+    window_end_ = now + kRecoveryWindow;
   }
 
   // The batch's net effect, in ascending edge order: links killed and not
@@ -168,7 +168,7 @@ void FaultController::sample_recovery(const noc::Network& net,
     const std::uint64_t delivered = net.total_flits_ejected();
     const double rate =
         static_cast<double>(delivered - window_start_count_) /
-        (static_cast<double>(plan_.recovery_window) *
+        (static_cast<double>(kRecoveryWindow) *
          static_cast<double>(net.num_endpoints()));
     if (stats_.first_kill_cycle < 0) {
       stats_.pre_fault_rate = rate;
@@ -179,7 +179,7 @@ void FaultController::sample_recovery(const noc::Network& net,
         have_degraded_ = true;
       }
       if (stats_.pre_fault_rate > 0.0 &&
-          rate >= plan_.recovery_threshold * stats_.pre_fault_rate) {
+          rate >= kRecoveryThreshold * stats_.pre_fault_rate) {
         stats_.recovered = true;
         stats_.recovery_cycles =
             window_end_ - (arm_cycle_ + stats_.first_kill_cycle);
@@ -187,7 +187,7 @@ void FaultController::sample_recovery(const noc::Network& net,
       }
     }
     window_start_count_ = delivered;
-    window_end_ += plan_.recovery_window;
+    window_end_ += kRecoveryWindow;
   }
 }
 

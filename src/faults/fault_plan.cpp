@@ -47,14 +47,6 @@ const char* to_string(FaultKind kind) {
 }
 
 void FaultPlan::validate(const graph::Graph& g) const {
-  if (!(recovery_threshold > 0.0) || !(recovery_threshold <= 1.0)) {
-    throw std::invalid_argument(
-        "FaultPlan: recovery_threshold must be in (0, 1], got " +
-        std::to_string(recovery_threshold));
-  }
-  if (recovery_window < 1) {
-    throw std::invalid_argument("FaultPlan: recovery_window must be >= 1");
-  }
   if (reconvergence_delay < 0) {
     throw std::invalid_argument(
         "FaultPlan: reconvergence_delay must be >= 0");
@@ -167,14 +159,6 @@ void FaultScenarioSpec::validate() const {
     throw std::invalid_argument(
         "FaultScenarioSpec: warmup must be >= 0 and measure >= 1");
   }
-  if (!(recovery_threshold > 0.0) || !(recovery_threshold <= 1.0)) {
-    throw std::invalid_argument(
-        "FaultScenarioSpec: recovery_threshold must be in (0, 1]");
-  }
-  if (recovery_window < 1) {
-    throw std::invalid_argument(
-        "FaultScenarioSpec: recovery_window must be >= 1");
-  }
 }
 
 std::vector<FaultPlan> FaultScenarioSpec::plans_for(
@@ -183,8 +167,6 @@ std::vector<FaultPlan> FaultScenarioSpec::plans_for(
   const auto with_knobs = [&] {
     FaultPlan p;
     p.reconvergence_delay = reconvergence_delay;
-    p.recovery_threshold = recovery_threshold;
-    p.recovery_window = recovery_window;
     return p;
   };
   const auto killable = [](const graph::Graph& work) {

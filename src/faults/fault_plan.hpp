@@ -26,6 +26,14 @@
 
 namespace hm::faults {
 
+/// Recovery = the first post-kill sampling window whose delivered-flit rate
+/// reaches kRecoveryThreshold x the pre-fault rate. Windows of
+/// kRecoveryWindow cycles run back to back from the arm cycle; the first
+/// kill drops the partial window and starts the next one, so recovery takes
+/// a whole number of windows.
+inline constexpr double kRecoveryThreshold = 0.9;
+inline constexpr noc::Cycle kRecoveryWindow = 512;
+
 /// Explicit plans hash these values into store keys (explore/hash.cpp), so
 /// the numbers are fixed; 1 and 3 are unused.
 enum class FaultKind : std::uint8_t {
@@ -47,8 +55,8 @@ struct FaultEvent {
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
-/// A validated schedule of fault events plus the knobs governing how the
-/// network reacts (reconvergence) and how recovery is measured.
+/// A validated schedule of fault events plus the delay before the network
+/// reacts to them (reconvergence).
 struct FaultPlan {
   std::vector<FaultEvent> events;
 
@@ -57,14 +65,6 @@ struct FaultPlan {
   /// aimed at a dead port block on zero credits and are revoked onto the
   /// escape path each cycle, deterministically.
   noc::Cycle reconvergence_delay = 0;
-
-  /// Recovery = first post-kill sampling window whose delivered-flit rate
-  /// reaches `recovery_threshold` x the pre-fault rate. Windows run
-  /// back to back from the arm cycle; the first kill drops the partial
-  /// window and starts the next one, so recovery takes a whole number of
-  /// windows.
-  double recovery_threshold = 0.9;
-  noc::Cycle recovery_window = 512;
 
   [[nodiscard]] bool empty() const noexcept { return events.empty(); }
 
@@ -97,7 +97,7 @@ struct ResilienceStats {
   double degraded_rate = 0.0;   ///< worst post-kill window before recovery
   noc::Cycle first_kill_cycle = -1;
   /// Cycles from the first kill to the end of the recovering window, a
-  /// multiple of recovery_window; -1: not recovered within the run.
+  /// multiple of kRecoveryWindow; -1: not recovered within the run.
   noc::Cycle recovery_cycles = -1;
   bool recovered = false;
 };
@@ -125,8 +125,6 @@ struct FaultScenarioSpec {
   double offered_rate = 0.25;
   noc::Cycle warmup = 2000;   ///< healthy cycles before `kill_at` applies
   noc::Cycle measure = 6000;  ///< post-arm horizon beyond the warmup
-  double recovery_threshold = 0.9;
-  noc::Cycle recovery_window = 512;
 
   /// Hand-written plans for fixed graphs (CLI / explicit sweeps). They are
   /// validated against each graph they run on.
