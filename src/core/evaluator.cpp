@@ -18,12 +18,6 @@ namespace hm::core {
 
 double link_area_for(const Arrangement& arr, double chiplet_area_mm2,
                      const EvaluationParams& params) {
-  const double usable = (1.0 - params.power_fraction) * chiplet_area_mm2;
-  if (params.hand_optimized_small_n && arr.chiplet_count() <= 7) {
-    const std::size_t sectors = std::max<std::size_t>(
-        1, arr.graph().max_degree());
-    return usable / static_cast<double>(sectors);
-  }
   const ShapeParams sp{chiplet_area_mm2, params.power_fraction};
   return solve_shape(arr.type() == ArrangementType::kHoneycomb
                          ? ArrangementType::kBrickwall

@@ -35,11 +35,6 @@ struct EvaluationParams {
   int non_data_wires = kDefaultNonDataWires;
   double frequency_hz = kDefaultFrequencyHz;
 
-  /// The paper hand-optimizes bump assignment for N <= 7 (Sec. VI-B) without
-  /// specifying how. When true, designs with N <= 7 chiplets grant each link
-  /// A_B = (1-p_p) * A_C / max_degree instead of the general sector formula.
-  bool hand_optimized_small_n = false;
-
   /// Injection rate used for the zero-load latency measurement
   /// (flits/cycle/endpoint; low enough to avoid queueing).
   double zero_load_injection_rate = 0.01;
@@ -109,7 +104,9 @@ struct EvaluationResult {
 };
 
 /// Per-link bump-sector area A_B for an arrangement whose chiplets have area
-/// `chiplet_area` (applies the hand-optimized rule for N <= 7 when enabled).
+/// `chiplet_area`, from the chiplet-shape solver's sector formula at every N.
+/// The paper hand-optimizes bump assignment for N <= 7 (Sec. VI-B) without
+/// saying how, so small designs get the general formula too.
 [[nodiscard]] double link_area_for(const Arrangement& arr,
                                    double chiplet_area_mm2,
                                    const EvaluationParams& params);

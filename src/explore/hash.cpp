@@ -21,7 +21,9 @@ std::uint64_t hash_analytic_params(const core::EvaluationParams& params) {
       .mix_f(params.bump_pitch_mm)
       .mix_i(params.non_data_wires)
       .mix_f(params.frequency_hz)
-      .mix_b(params.hand_optimized_small_n)
+      // The retired EvaluationParams::hand_optimized_small_n flag (default
+      // false); mixing the literal keeps every existing store key valid.
+      .mix_b(false)
       .mix_i(params.sim.endpoints_per_chiplet);
   return h.value();
 }

@@ -62,15 +62,11 @@ TEST(EvaluatorAnalytic, HexameshBeatsGridOnProxies) {
   EXPECT_LT(hexa.per_link_bandwidth_bps, grid.per_link_bandwidth_bps);
 }
 
-TEST(EvaluatorAnalytic, HandOptimizedSmallN) {
-  EvaluationParams p;
-  p.hand_optimized_small_n = true;
-  const auto arr = make_grid(2);  // two chiplets, one link, max degree 1
-  const auto r = evaluate_analytic(arr, p);
-  EXPECT_DOUBLE_EQ(r.link_area_mm2, 0.6 * 400.0);
-  EvaluationParams q;  // default: general formula
-  const auto r2 = evaluate_analytic(arr, q);
-  EXPECT_DOUBLE_EQ(r2.link_area_mm2, 0.6 * 400.0 / 4.0);
+TEST(EvaluatorAnalytic, SmallNUsesTheGeneralFormula) {
+  // Two grid chiplets share one link, yet each link still gets one of the
+  // square chiplet's four sectors.
+  const auto r = evaluate_analytic(make_grid(2));
+  EXPECT_DOUBLE_EQ(r.link_area_mm2, 0.6 * 400.0 / 4.0);
 }
 
 TEST(Evaluator, FullPipelineOnSmallGrid) {
@@ -97,15 +93,13 @@ TEST(Evaluator, ZeroLoadLatencyScalesWithDiameter) {
   EXPECT_GT(large.zero_load_latency_cycles, small.zero_load_latency_cycles);
 }
 
-TEST(Evaluator, LinkAreaForHonorsSmallNFlag) {
-  const auto arr = make_hexamesh(7);
-  EvaluationParams p;
-  p.hand_optimized_small_n = true;
-  // Regular HM with 1 ring: center has degree 6.
-  EXPECT_DOUBLE_EQ(link_area_for(arr, 14.0, p), 0.6 * 14.0 / 6.0);
-  const auto big = make_hexamesh(19);
-  // N > 7: flag must not change anything.
-  EXPECT_DOUBLE_EQ(link_area_for(big, 10.0, p), 0.6 * 10.0 / 6.0);
+TEST(Evaluator, LinkAreaForUsesTheSectorFormulaAtEveryN) {
+  // HexaMesh chiplets split their usable area into six link sectors, at
+  // N <= 7 as beyond it.
+  const EvaluationParams p;
+  EXPECT_DOUBLE_EQ(link_area_for(make_hexamesh(7), 14.0, p), 0.6 * 14.0 / 6.0);
+  EXPECT_DOUBLE_EQ(link_area_for(make_hexamesh(19), 10.0, p),
+                   0.6 * 10.0 / 6.0);
 }
 
 }  // namespace
