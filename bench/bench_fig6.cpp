@@ -21,7 +21,10 @@ int main() {
   hm::explore::SweepSpec spec;
   spec.types = hm::bench::compared_types();
   spec.chiplet_counts = hm::bench::analytic_sweep();
-  spec.simulate = false;
+  EvaluationParams analytic;  // proxies and link model only
+  analytic.measure_latency = false;
+  analytic.measure_saturation = false;
+  spec.param_grid = {analytic};
   const auto records = hm::bench::run_sweep(spec);
 
   const auto table = [&](const char* title, auto proxy) {

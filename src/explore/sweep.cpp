@@ -105,33 +105,25 @@ SweepRecord SweepEngine::evaluate_point(const SweepPoint& point) {
 }
 
 std::vector<SweepRecord> SweepEngine::run(const SweepSpec& spec) {
-  // SweepSpec.simulate is a convenience switch over the per-params flags.
-  SweepSpec resolved = spec;
-  if (!spec.simulate) {
-    for (auto& p : resolved.param_grid) {
-      p.measure_latency = false;
-      p.measure_saturation = false;
-    }
-  }
-  std::vector<SweepPoint> points = resolved.points();
+  std::vector<SweepPoint> points = spec.points();
 
   // Warm-start points ride after the cartesian product, crossed with the
   // same param/traffic grids and the continued per-job seed sequence —
   // indistinguishable from family points to the pool, the cache and the
   // exports (except for their label).
   for (std::size_t e = 0; e < extra_.size(); ++e) {
-    for (std::size_t pi = 0; pi < resolved.param_grid.size(); ++pi) {
-      for (std::size_t ti = 0; ti < resolved.traffic_grid.size(); ++ti) {
+    for (std::size_t pi = 0; pi < spec.param_grid.size(); ++pi) {
+      for (std::size_t ti = 0; ti < spec.traffic_grid.size(); ++ti) {
         SweepPoint p;
         p.index = points.size();
         p.type = extra_[e].arrangement->type();
         p.chiplet_count = extra_[e].arrangement->chiplet_count();
         p.param_index = pi;
         p.traffic_index = ti;
-        p.params = resolved.param_grid[pi];
-        p.traffic = resolved.traffic_grid[ti];
-        if (resolved.derive_per_job_seeds) {
-          p.params.sim.seed = noc::derive_seed(resolved.base_seed, p.index);
+        p.params = spec.param_grid[pi];
+        p.traffic = spec.traffic_grid[ti];
+        if (spec.derive_per_job_seeds) {
+          p.params.sim.seed = noc::derive_seed(spec.base_seed, p.index);
         }
         p.custom = extra_[e].arrangement;
         p.label = extra_[e].label;

@@ -67,11 +67,6 @@ struct SweepSpec {
   std::vector<core::EvaluationParams> param_grid = {core::EvaluationParams{}};
   std::vector<noc::TrafficSpec> traffic_grid = {noc::TrafficSpec{}};
 
-  /// false = analytic proxies + link model only (cheap, Fig. 4/6 style);
-  /// true = full cycle-accurate evaluation (Fig. 7 style). Designs with a
-  /// single chiplet are always analytic-only (no ICI to simulate).
-  bool simulate = true;
-
   /// Base of the per-job seed derivation: job i simulates with
   /// sim.seed = noc::derive_seed(base_seed, i). Stable across thread
   /// counts by construction. Set derive_per_job_seeds = false to keep the
@@ -136,12 +131,8 @@ class SweepEngine {
   /// sweeps stay deterministic at any thread count and searched points
   /// share the cache with everything else. `label` replaces the family
   /// name in exports (empty = the arrangement's name()). Registered
-  /// arrangements persist across run() calls; clear_arrangements() resets.
+  /// arrangements persist across run() calls.
   void add_arrangement(core::Arrangement arrangement, std::string label = "");
-  void clear_arrangements() noexcept { extra_.clear(); }
-  [[nodiscard]] std::size_t arrangement_count() const noexcept {
-    return extra_.size();
-  }
 
   /// Runs every point of the sweep (the spec's cartesian product plus any
   /// arrangements registered via add_arrangement); records are returned in

@@ -436,8 +436,12 @@ void Server::handle_sweep(const PendingRequest& req, Status* status,
     spec.types = parsed->types;
     spec.chiplet_counts.assign(parsed->chiplet_counts.begin(),
                                parsed->chiplet_counts.end());
-    spec.param_grid = {options_.params};
-    spec.simulate = parsed->simulate;
+    core::EvaluationParams params = options_.params;
+    if (!parsed->simulate) {
+      params.measure_latency = false;
+      params.measure_saturation = false;
+    }
+    spec.param_grid = {params};
     spec.base_seed = parsed->base_seed;
 
     // A per-request engine, but warm state is shared anyway: the store is

@@ -188,7 +188,8 @@ SweepSpec small_analytic_spec() {
   spec.types = {core::ArrangementType::kGrid,
                 core::ArrangementType::kHexaMesh};
   for (std::size_t n = 2; n <= 13; ++n) spec.chiplet_counts.push_back(n);
-  spec.simulate = false;
+  spec.param_grid[0].measure_latency = false;
+  spec.param_grid[0].measure_saturation = false;
   return spec;
 }
 
