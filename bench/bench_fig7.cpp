@@ -9,13 +9,13 @@
 // fixed seed, like the paper's BookSim setup.
 #include <array>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/proxies.hpp"
 #include "explore/sweep.hpp"
-#include "noc/stats.hpp"
 
 int main() {
   using namespace hm::core;
@@ -97,7 +97,10 @@ int main() {
     for (std::size_t c = 0; c < row.size(); ++c) tail[c].push_back(row[c]);
   }
   Row avg{};
-  for (std::size_t c = 0; c < avg.size(); ++c) avg[c] = hm::noc::mean(tail[c]);
+  for (std::size_t c = 0; c < avg.size(); ++c) {
+    avg[c] = std::accumulate(tail[c].begin(), tail[c].end(), 0.0) /
+             static_cast<double>(tail[c].size());
+  }
   hm::bench::rule(96);
   print_row("AVG", avg);
   std::printf("   (N >= 10)\n");
