@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -368,9 +367,7 @@ void bench_fault_overhead() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
-  }
+  hm::bench::parse_perf_args(argc, argv, &g_smoke);
   std::printf("== micro-perf: engineering-critical paths%s ==\n",
               g_smoke ? " (smoke)" : "");
   bench_arrangements();

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <string>
@@ -178,9 +177,7 @@ void bench_tempering_e2e() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) g_smoke = true;
-  }
+  hm::bench::parse_perf_args(argc, argv, &g_smoke);
   std::printf("== search perf: incremental rebuilds + e2e local search%s ==\n",
               g_smoke ? " (smoke)" : "");
   bench_incremental_rebuild(37);

@@ -8,6 +8,8 @@
 // Shortened measurement windows keep the absolute runtime benchable; the
 // parallel structure (independent designs, fresh simulators, per-job seeds)
 // is identical to the paper-length sweep.
+//
+// Usage: bench_sweep_scaling   (no arguments)
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -22,7 +24,8 @@
 #include "explore/sweep.hpp"
 #include "perf_json.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  hm::bench::parse_perf_args(argc, argv, nullptr);
   using namespace hm::core;
   hm::bench::header("Sweep-engine scaling — wall-clock speedup vs threads",
                     "engineering metric for the Fig. 7 sweeps (not a paper "

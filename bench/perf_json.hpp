@@ -12,12 +12,29 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 
 namespace hm::bench {
+
+/// The perf drivers' argument check: `--smoke` (shorter runs) is accepted
+/// when `smoke` is non-null, and nothing else. Any other argument, `--help`
+/// included, prints usage and exits 1 before the driver measures anything
+/// or rewrites the perf JSON.
+inline void parse_perf_args(int argc, char** argv, bool* smoke) {
+  for (int i = 1; i < argc; ++i) {
+    if (smoke != nullptr && std::strcmp(argv[i], "--smoke") == 0) {
+      *smoke = true;
+      continue;
+    }
+    std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s%s\n", argv[0],
+                 argv[i], argv[0], smoke != nullptr ? " [--smoke]" : "");
+    std::exit(1);
+  }
+}
 
 inline std::string perf_json_path() {
   if (const char* env = std::getenv("HM_PERF_JSON")) return env;
