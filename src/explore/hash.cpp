@@ -67,15 +67,18 @@ std::uint64_t hash_simulation_params(const core::EvaluationParams& params) {
       .mix_f(f.offered_rate)
       .mix_i(f.warmup)
       .mix_i(f.measure)
-      // Where the retired recovery fields sat, here and per explicit plan:
-      // the constants they became, so existing store keys stay valid and a
-      // change to either constant moves every fault key.
-      .mix_f(faults::kRecoveryThreshold)
-      .mix_i(faults::kRecoveryWindow)
+      // The retired recovery_threshold and recovery_window fields (defaults
+      // 0.9 and 512), here and per explicit plan; mixing the literals keeps
+      // every existing store key valid.
+      .mix_f(0.9)
+      .mix_i(512)
       .mix(f.explicit_plans.size());
   // Marks fault results measured with recovery windows restarted at the
   // first kill: records stored before that miss, and fault-free keys,
-  // which never mix it, stay as they were.
+  // which never mix it, stay as they were. A change to the recovery
+  // constants needs a marker like it.
+  static_assert(faults::kRecoveryThreshold == 0.9 &&
+                faults::kRecoveryWindow == 512);
   if (f.enabled()) h.mix(std::uint64_t{0x7265636f76657279});  // "recovery"
   for (const faults::FaultPlan& plan : f.explicit_plans) {
     // The retired FaultPlan flag that let kills partition the network
@@ -83,8 +86,8 @@ std::uint64_t hash_simulation_params(const core::EvaluationParams& params) {
     // valid.
     h.mix_b(false)
         .mix_i(plan.reconvergence_delay)
-        .mix_f(faults::kRecoveryThreshold)
-        .mix_i(faults::kRecoveryWindow)
+        .mix_f(0.9)
+        .mix_i(512)
         .mix(plan.events.size());
     for (const faults::FaultEvent& e : plan.events) {
       h.mix_i(e.at).mix(static_cast<std::uint64_t>(e.kind)).mix(e.a).mix(e.b);
