@@ -15,6 +15,7 @@ namespace {
 using detail::CoarseLevel;
 using detail::WeightedGraph;
 
+/// Seed of every bisection's draws: equal graphs always get equal cuts.
 constexpr unsigned kSeed = 1;
 /// Independent V-cycles per bisection; the best cut wins.
 constexpr int kStarts = 12;
@@ -87,6 +88,7 @@ BisectionResult bisect(const graph::Graph& g) {
   }
 
   const WeightedGraph wg = detail::from_graph(g);
+  // Exact balance: neither half holds more than ceil(n/2) vertices.
   const auto max_part_weight = static_cast<long long>((n + 1) / 2);
 
   std::mt19937 rng(kSeed);
