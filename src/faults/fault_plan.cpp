@@ -164,11 +164,8 @@ void FaultScenarioSpec::validate() const {
 std::vector<FaultPlan> FaultScenarioSpec::plans_for(
     const graph::Graph& g) const {
   std::vector<FaultPlan> plans = explicit_plans;
-  const auto with_knobs = [&] {
-    FaultPlan p;
-    p.reconvergence_delay = reconvergence_delay;
-    return p;
-  };
+  FaultPlan no_events;
+  no_events.reconvergence_delay = reconvergence_delay;
   const auto killable = [](const graph::Graph& work) {
     const auto br = graph::bridges(work);
     std::vector<std::pair<NodeId, NodeId>> out;
@@ -187,7 +184,7 @@ std::vector<FaultPlan> FaultScenarioSpec::plans_for(
       const auto [a, b] = candidates[idx];
       candidates.erase(candidates.begin() +
                        static_cast<std::ptrdiff_t>(idx));
-      FaultPlan p = with_knobs();
+      FaultPlan p = no_events;
       p.events.push_back({kill_at, FaultKind::kLinkKill, a, b});
       if (repair_after > 0) {
         p.events.push_back(
@@ -200,7 +197,7 @@ std::vector<FaultPlan> FaultScenarioSpec::plans_for(
   if (storm_kills > 0) {
     graph::Graph work = g;
     noc::Rng rng(noc::derive_seed(seed, 0x53544F524DULL));  // "STORM"
-    FaultPlan p = with_knobs();
+    FaultPlan p = no_events;
     for (int k = 0; k < storm_kills; ++k) {
       const auto candidates = killable(work);
       if (candidates.empty()) break;  // nothing left to kill survivably
