@@ -224,12 +224,9 @@ int main(int argc, char** argv) {
                   100.0 * (res.best_score - res.baseline_score) /
                       std::abs(res.baseline_score));
       std::printf(
-          "search: %s, %zu evaluations (%llu cache hits), %llu incremental "
-          "table rebuilds, %.1f s\n",
+          "search: %s, %zu evaluations (%llu cache hits), %.1f s\n",
           summary.c_str(), res.evaluations,
-          static_cast<unsigned long long>(res.cache_hits),
-          static_cast<unsigned long long>(res.incremental_rebuilds),
-          res.wall_seconds);
+          static_cast<unsigned long long>(res.cache_hits), res.wall_seconds);
       if (!trace_path.empty()) {
         hm::search::export_trace_file(trace_path, trace);
         std::printf("trace exported: %s\n", trace_path.c_str());

@@ -138,8 +138,7 @@ const noc::DegradedRouting* FaultController::build_view(
     live_topo_ = base_topo_;  // back to full health
     return nullptr;
   }
-  // Same vertex set as the previous live topology, so its routing tables
-  // are rebuilt incrementally from this batch's delta.
+  // The previous live topology with this batch's kills and repairs.
   live_topo_ = noc::TopologyContext::rebuild_from(live_topo_, edit);
 
   const graph::Graph& g = base_topo_->graph();

@@ -29,7 +29,7 @@
 namespace hm::faults {
 
 /// Applies a FaultPlan's events to a Network at their scheduled cycles,
-/// rebuilds the degraded routing view after each batch (incrementally via
+/// rebuilds the degraded routing view after each batch (its topology via
 /// TopologyContext::rebuild_from), delays its installation by the plan's
 /// reconvergence window, and samples the delivered-rate windows that define
 /// the recovery metrics.
@@ -91,8 +91,8 @@ class FaultController {
   std::vector<std::unique_ptr<noc::DegradedRouting>> views_;
   std::vector<PendingSwap> swaps_;  ///< monotone `at` (constant delay)
   std::size_t next_swap_ = 0;
-  /// The base graph minus killed_links_, each batch's topology rebuilt
-  /// incrementally from the previous one.
+  /// The base graph minus killed_links_, each batch's topology the
+  /// previous one with the batch's edit applied.
   std::shared_ptr<const noc::TopologyContext> live_topo_;
 
   // Recovery sampling: back-to-back windows of W cycles from the arm cycle,

@@ -34,7 +34,6 @@ namespace hm::noc {
 struct EscapeHop {
   std::uint8_t port = 0;        ///< index into graph.neighbors(current)
   std::uint8_t next_phase = 0;  ///< 0 = still ascending, 1 = descending
-  friend bool operator==(const EscapeHop&, const EscapeHop&) = default;
 };
 
 /// A local edit of an arrangement graph: edges removed from and added to a
@@ -42,8 +41,8 @@ struct EscapeHop {
 /// moves a vertex's incident edges, it never deletes the vertex). `removed`
 /// edges must exist in the pre-edit graph and `added` edges must be absent
 /// from it; endpoint order within a pair is irrelevant. This is the unit of
-/// change the arrangement-search mutations produce and the incremental
-/// routing-table rebuild consumes.
+/// change the arrangement-search mutations and the fault controller hand to
+/// TopologyContext::rebuild_from.
 struct GraphEdit {
   std::vector<std::pair<graph::NodeId, graph::NodeId>> removed;
   std::vector<std::pair<graph::NodeId, graph::NodeId>> added;
@@ -64,34 +63,6 @@ class RoutingTables {
   /// Builds tables for `g`, which must be connected with >= 1 vertex and
   /// degree <= 255 (std::invalid_argument otherwise).
   explicit RoutingTables(const graph::Graph& g);
-
-  /// Incremental build: `g` must equal `edit` applied to the graph `prev`
-  /// was built for (same vertex set — node-count changes fall back to a
-  /// full build, as does any edit that invalidates more than half of the
-  /// distance rows, e.g. a chiplet relocation, which genuinely changes
-  /// d(u, moved) for nearly every u). Only the distance rows the edit
-  /// actually changes are re-run through BFS, decided by exact per-row
-  /// criteria over prev's distances: a removed edge invalidates row u only
-  /// when it is tight (|d(u,a) - d(u,b)| == 1) *and* its far endpoint
-  /// keeps no surviving tight predecessor (with one, every vertex still
-  /// has an old-length path, by induction over BFS depth — path diversity
-  /// makes most mesh edge toggles a no-op row-wise); an added edge only
-  /// when |d(u,a) - d(u,b)| >= 2 (with every gap <= 1, no path through
-  /// the added edges can beat the old distances). Likewise only the
-  /// minimal-port CSR segments whose inputs (the row's own distances, a
-  /// neighbour's distances, or the neighbour list itself) changed are
-  /// recomputed; everything else is copied from `prev` byte for byte. The
-  /// up*/down* escape tables rebuild per destination column: when the root
-  /// and its distance row survive the edit (so the orientation keys are
-  /// unchanged), the stored backward state-BFS distances let the same
-  /// tight-inlet/shortcut criteria decide which destinations the edited
-  /// transitions can reach at all — surviving columns are copied with only
-  /// the edit-incident routers' hops re-derived (their port numbering
-  /// changed), the rest re-run the full per-destination build. The result
-  /// is bit-identical to RoutingTables(g) by construction (and by the
-  /// property tests in test_search).
-  RoutingTables(const graph::Graph& g, const RoutingTables& prev,
-                const GraphEdit& edit);
 
   /// Hop distance between routers.
   [[nodiscard]] int distance(graph::NodeId u, graph::NodeId v) const {
@@ -126,41 +97,13 @@ class RoutingTables {
   /// Number of routers the tables were built for.
   [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
 
-  /// Process-lifetime count of incremental builds that stayed incremental
-  /// (vs. falling back to a full rebuild), which search::Chain reports per
-  /// run as a delta. Every other build count is a telemetry counter:
-  /// `routing.lifetime_builds`, `routing.incremental_builds` and
-  /// `routing.incremental_rows_reused` in telemetry::snapshot().
-  [[nodiscard]] static std::uint64_t incremental_builds() noexcept;
-
-  /// True iff every table (distances, minimal-port CSR, escape hops, root,
-  /// degrees) compares equal element for element. The incremental-vs-full
-  /// equivalence contract of the (g, prev, edit) constructor.
-  [[nodiscard]] bool identical_to(const RoutingTables& o) const;
-
  private:
-  /// Shared table-construction phases (both constructors funnel through
-  /// these so incremental and from-scratch builds run identical code).
-  void build_full(const graph::Graph& g);
-  void build_min_port_row(const graph::Graph& g, graph::NodeId cur);
-  void build_escape(const graph::Graph& g);
-  /// Graph center the escape tree roots at (the vertex whose largest
-  /// distance in the current dist_ matrix is smallest, smallest id on
-  /// ties).
-  [[nodiscard]] graph::NodeId select_escape_root() const;
-  /// Backward state-graph BFS + forward hop assignment for one
-  /// destination. `depth` is the root's distance row (the up*/down*
-  /// orientation key); writes escape_[*][flat(*, dst)] and the dst block
-  /// of escape_sdist_.
+  /// Backward state-graph BFS from dst's two states, then the forward hop
+  /// of every state: writes escape_[*][flat(*, dst)]. `depth` is the
+  /// root's distance row (the up*/down* orientation key); `sd` is scratch
+  /// for the column's 2n state distances.
   void build_escape_column(const graph::Graph& g, const std::vector<int>& depth,
-                           graph::NodeId dst);
-  /// Forward next hop of state (u, phase) toward dst given the dst
-  /// column's state distances `sd`; the default hop for unreachable
-  /// states. Exactly the selection loop of the full build.
-  [[nodiscard]] EscapeHop forward_escape_hop(const graph::Graph& g,
-                                             const std::vector<int>& depth,
-                                             graph::NodeId dst, graph::NodeId u,
-                                             int phase, const int* sd) const;
+                           graph::NodeId dst, std::vector<int>& sd);
   [[nodiscard]] std::size_t flat(graph::NodeId u, graph::NodeId v) const {
     return static_cast<std::size_t>(u) * n_ + v;
   }
@@ -173,12 +116,6 @@ class RoutingTables {
   std::vector<std::uint8_t> min_port_data_;     ///< concatenated port sets
   /// escape_[phase][cur*n + dst]
   std::vector<EscapeHop> escape_[2];
-  /// Backward state-graph BFS distances per destination,
-  /// escape_sdist_[dst * 2n + phase * n + v] (kInf-like sentinel for
-  /// unreachable states). Never read on the routing hot path — kept so an
-  /// incremental rebuild can decide, per destination, whether a graph edit
-  /// touches that column's escape paths at all.
-  std::vector<int> escape_sdist_;
 };
 
 }  // namespace hm::noc

@@ -83,18 +83,6 @@ TopologyContext::TopologyContext(const graph::Graph& g)
   build_links();
 }
 
-TopologyContext::TopologyContext(const graph::Graph& g,
-                                 const TopologyContext& prev,
-                                 const GraphEdit& edit)
-    : graph_(g), digest_(graph_digest(g)), tables_([&] {
-        telemetry::Span span("topo.build_incremental");
-        return RoutingTables(g, prev.tables_, edit);
-      }()) {
-  static telemetry::Counter incr_builds("topo.incremental_builds");
-  incr_builds.add();
-  build_links();
-}
-
 void TopologyContext::build_links() {
   links_.clear();
   links_.reserve(2 * graph_.edge_count());
@@ -106,21 +94,16 @@ void TopologyContext::build_links() {
   }
 }
 
-namespace {
-
-/// Shared intern protocol of acquire() and rebuild_from(): return a live
-/// context for `g` if one exists, otherwise build one via `build` (outside
-/// the lock, so distinct graphs build in parallel across sweep/search
-/// workers) and register it. Two threads racing on the *same* graph may
-/// both build — harmless (contexts built either way are value-identical;
-/// the incremental-vs-full equivalence tests pin this for the delta path);
+/// Returns a live context for `g` if one exists, otherwise builds one
+/// (outside the lock, so distinct graphs build in parallel across
+/// sweep/search workers) and registers it. Two threads racing on the *same*
+/// graph may both build — harmless, the two contexts are value-identical;
 /// the loser's copy is discarded and every later acquire sees one shared
 /// instance. Plain shared_ptr<>(new ...) rather than make_shared so the
 /// bulky object storage is freed as soon as the last strong reference
 /// drops, even while a weak cache slot lingers until the next prune.
-template <typename Build>
-std::shared_ptr<const TopologyContext> intern_or_build(const graph::Graph& g,
-                                                       Build&& build) {
+std::shared_ptr<const TopologyContext> TopologyContext::acquire(
+    const graph::Graph& g) {
   const std::uint64_t digest = graph_digest(g);
   ContextCache& c = cache();
 
@@ -149,7 +132,7 @@ std::shared_ptr<const TopologyContext> intern_or_build(const graph::Graph& g,
     }
   }
 
-  std::shared_ptr<const TopologyContext> built(build());
+  std::shared_ptr<const TopologyContext> built(new TopologyContext(g));
   const std::lock_guard<std::mutex> lock(c.mu);
   if (auto ctx = lookup()) {
     intern_hits.add();
@@ -159,25 +142,13 @@ std::shared_ptr<const TopologyContext> intern_or_build(const graph::Graph& g,
   return built;
 }
 
-}  // namespace
-
-std::shared_ptr<const TopologyContext> TopologyContext::acquire(
-    const graph::Graph& g) {
-  return intern_or_build(g, [&g] { return new TopologyContext(g); });
-}
-
 std::shared_ptr<const TopologyContext> TopologyContext::rebuild_from(
     const std::shared_ptr<const TopologyContext>& prev, const GraphEdit& edit) {
   if (prev == nullptr) {
     throw std::invalid_argument("TopologyContext::rebuild_from: null prev");
   }
   if (edit.empty()) return prev;
-  const graph::Graph g = apply_edit(prev->graph(), edit);
-  // Keyed by the same stable digest as acquire(): if a from-scratch build
-  // of the edited graph is already live, adopt it; if this delta build
-  // registers first, later acquire() calls adopt it instead.
-  return intern_or_build(
-      g, [&] { return new TopologyContext(g, *prev, edit); });
+  return acquire(apply_edit(prev->graph(), edit));
 }
 
 }  // namespace hm::noc

@@ -53,20 +53,13 @@ class TopologyContext {
   [[nodiscard]] static std::shared_ptr<const TopologyContext> acquire(
       const graph::Graph& g);
 
-  /// Returns the shared context for `prev`'s graph with `edit` applied,
-  /// rebuilding only the routing-table rows and CSR segments the edit
-  /// invalidates (see the incremental RoutingTables constructor; non-local
-  /// edits fall back to a full build internally). Delta-built contexts are
-  /// interned in the same digest-keyed cache as acquire(), so an
-  /// incremental rebuild and a from-scratch acquire of the same graph
-  /// return the same shared instance — whichever ran first — and the two
-  /// build paths are interchangeable everywhere a context is consumed.
-  /// This is the hot enabling path of the arrangement-search optimizer:
-  /// every mutation step perturbs one chiplet or one link, so most of the
-  /// O(N^2 * deg) table content survives verbatim. Thread-safe. Throws
-  /// std::invalid_argument when `prev` is null or the edit is inconsistent
-  /// with prev's graph (missing removed edge / duplicate added edge), and
-  /// std::invalid_argument via RoutingTables when the edited graph is
+  /// Returns the shared context for `prev`'s graph with `edit` applied:
+  /// `prev` itself for an empty edit, otherwise
+  /// acquire(apply_edit(prev->graph(), edit)). Arrangement-search
+  /// mutations and fault re-routes describe their change as an edit.
+  /// Thread-safe. Throws std::invalid_argument when `prev` is null, when
+  /// the edit is inconsistent with prev's graph (missing removed edge /
+  /// duplicate added edge), and via RoutingTables when the edited graph is
   /// disconnected.
   [[nodiscard]] static std::shared_ptr<const TopologyContext> rebuild_from(
       const std::shared_ptr<const TopologyContext>& prev,
@@ -93,11 +86,6 @@ class TopologyContext {
   }
 
  private:
-  /// Incremental build for rebuild_from: `g` is prev's graph with `edit`
-  /// applied; the routing tables reuse every row the edit leaves intact.
-  TopologyContext(const graph::Graph& g, const TopologyContext& prev,
-                  const GraphEdit& edit);
-
   void build_links();
 
   graph::Graph graph_;

@@ -12,7 +12,6 @@
 #include "explore/export.hpp"
 #include "explore/hash.hpp"
 #include "noc/rng.hpp"
-#include "noc/routing.hpp"
 #include "search/search.hpp"
 #include "search/tempering.hpp"
 #include "store/result_store.hpp"
@@ -65,7 +64,6 @@ ChainState Chain::begin(const char* engine, const core::Arrangement& start,
 
   wall_start_ = std::chrono::steady_clock::now();
   cache_hits0_ = cache_.hits();
-  incremental_builds0_ = noc::RoutingTables::incremental_builds();
 
   ChainState state{start, noc::TopologyContext::acquire(start.graph())};
   result.baseline_result = evaluate(start, state.ctx);
@@ -109,9 +107,10 @@ void Chain::step(std::size_t step, const std::vector<std::uint64_t>& streams,
   first[k_chains] = batch.size();
 
   // Score every chain's candidates in one parallel fan-out. Each job
-  // delta-builds (or adopts from the intern cache) its candidate's topology
-  // from its chain's current context and scores it — a pure function of
-  // the candidate, so scores are identical at any thread count.
+  // builds (or adopts from the intern cache) its candidate's topology from
+  // its chain's current context and the mutation's edit and scores it — a
+  // pure function of the candidate, so scores are identical at any thread
+  // count.
   std::vector<std::function<void()>> jobs;
   jobs.reserve(batch.size());
   for (std::size_t j = 0; j < batch.size(); ++j) {
@@ -161,8 +160,6 @@ void Chain::step(std::size_t step, const std::vector<std::uint64_t>& streams,
 
 void Chain::finish(ChainResult& result) const {
   result.cache_hits = cache_.hits() - cache_hits0_;
-  result.incremental_rebuilds =
-      noc::RoutingTables::incremental_builds() - incremental_builds0_;
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_start_)
                             .count();

@@ -13,12 +13,13 @@
 //   * scoring memoized in a sharded explore::ResultCache (optionally backed
 //     by an on-disk store) keyed by the stable (arrangement, params,
 //     traffic) content hashes, so revisited states cost a lookup;
-//   * the step: every chain's candidates are delta-built from the chain's
-//     current context (noc::TopologyContext::rebuild_from — a mutation
-//     only perturbs one chiplet or one link) and scored in one
-//     explore::ThreadPool batch, each probe chain leasing its network from
-//     the per-worker SimulationArena; then each chain accepts, in index
-//     order, while the best-so-far across all chains is tracked.
+//   * the step: every chain's candidates get their contexts from the
+//     chain's current one and the mutation's edit
+//     (noc::TopologyContext::rebuild_from, interned like acquire()) and
+//     are scored in one explore::ThreadPool batch, each probe chain
+//     leasing its network from the per-worker SimulationArena; then each
+//     chain accepts, in index order, while the best-so-far across all
+//     chains is tracked.
 //
 // Determinism contract (pinned by test_search, test_tempering and the
 // trace goldens of test_golden_sweep): chain k's proposals and Metropolis
@@ -100,7 +101,7 @@ struct ChainOptions {
 
 /// The trace fields of one chain's step. Only deterministic fields: scores,
 /// the selected mutation and the post-step state identity — never
-/// wall-clock times or cache/rebuild statistics (those are timing-dependent
+/// wall-clock times or cache statistics (those are timing-dependent
 /// under concurrency and live in ChainResult instead).
 struct ChainStep {
   std::size_t step = 0;
@@ -133,7 +134,6 @@ struct ChainResult {
   // trace exports.
   std::size_t evaluations = 0;       ///< simulated or cache-served scores
   std::uint64_t cache_hits = 0;      ///< ResultCache hits during this run
-  std::uint64_t incremental_rebuilds = 0;  ///< delta-built routing tables
   double wall_seconds = 0.0;
 };
 
@@ -169,7 +169,7 @@ class Chain {
             std::vector<ChainState>& chains,
             const std::vector<ChainStep*>& rows, ChainResult& result);
 
-  /// Records the run's cache hits, incremental rebuilds and wall time.
+  /// Records the run's cache hits and wall time.
   void finish(ChainResult& result) const;
 
  private:
@@ -186,7 +186,6 @@ class Chain {
   std::uint64_t param_key_ = 0;    ///< hash of (params_, traffic)
   std::chrono::steady_clock::time_point wall_start_;
   std::uint64_t cache_hits0_ = 0;
-  std::uint64_t incremental_builds0_ = 0;
 };
 
 /// Fills the post-step fields of `row` from `chain`'s state.

@@ -21,9 +21,9 @@
 // edge connects boundary-sharing sites, and the graph stays connected
 // (required by the routing layer); proposals that would violate any of
 // these return nullopt and the caller redraws. Each mutation also reports
-// the noc::GraphEdit taking the old graph to the new one, which is what
-// lets the search engine rebuild routing tables incrementally
-// (TopologyContext::rebuild_from) instead of from scratch.
+// the noc::GraphEdit taking the old graph to the new one, which the search
+// engine hands to TopologyContext::rebuild_from for the candidate's
+// topology.
 #pragma once
 
 #include <optional>

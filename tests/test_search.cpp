@@ -1,10 +1,8 @@
 // Tests for the arrangement local-search subsystem: mutation legality per
-// lattice family, incremental-vs-full RoutingTables equivalence across
-// random edit sequences (the byte-identical rebuild contract of
-// TopologyContext::rebuild_from), intern-cache interchangeability of
-// delta-built and from-scratch contexts, thread-count-independent search
-// traces, the annealing monotonic-best invariant, and the result-store keys
-// a --cache-dir search writes.
+// lattice family, TopologyContext::rebuild_from (interned with acquire(),
+// rejecting inconsistent and disconnecting edits), thread-count-independent
+// search traces, the annealing monotonic-best invariant, and the
+// result-store keys a --cache-dir search writes.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -29,7 +27,6 @@
 #include "search/search.hpp"
 #include "store/record.hpp"
 #include "store/result_store.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -38,7 +35,6 @@ using hm::core::ArrangementType;
 using hm::core::make_arrangement;
 using hm::graph::NodeId;
 using hm::noc::GraphEdit;
-using hm::noc::RoutingTables;
 using hm::noc::TopologyContext;
 using hm::search::Candidate;
 using hm::search::MutationKind;
@@ -156,128 +152,9 @@ TEST(Mutation, PerKindInvariants) {
   }
 }
 
-// --- Incremental vs. full routing-table builds ---------------------------------
+// --- TopologyContext::rebuild_from ----------------------------------------------
 
-TEST(IncrementalRebuild, MatchesFullBuildAcrossRandomEditSequences) {
-  // >= 50 random walks through the mutation space (17 per family, 4 edits
-  // each); after every edit the delta-built tables must equal a
-  // from-scratch build element for element.
-  std::size_t edits_checked = 0;
-  for (std::size_t fi = 0; fi < 3; ++fi) {
-    for (std::uint64_t seq = 0; seq < 17; ++seq) {
-      hm::noc::Rng rng(hm::noc::derive_seed(1000 * fi + 17, seq));
-      Arrangement cur = make_arrangement(kFamilies[fi], family_size(kFamilies[fi]));
-      RoutingTables tables(cur.graph());
-      for (int step = 0; step < 4; ++step) {
-        auto c = draw(cur, rng);
-        if (!c.has_value()) break;
-        RoutingTables incremental(c->arrangement.graph(), tables, c->edit);
-        const RoutingTables full(c->arrangement.graph());
-        ASSERT_TRUE(incremental.identical_to(full))
-            << hm::core::to_string(kFamilies[fi]) << " seq " << seq
-            << " step " << step << " op " << to_string(c->kind);
-        ++edits_checked;
-        cur = std::move(c->arrangement);
-        tables = std::move(incremental);
-      }
-    }
-  }
-  EXPECT_GE(edits_checked, 150u);
-}
-
-TEST(IncrementalRebuild, ToggleSequencesStayIncrementalOnMeshes) {
-  // Link toggles are the edits the incremental path targets: on mesh-like
-  // graphs path diversity absorbs most removals (the far endpoint keeps
-  // another tight predecessor), so the sharp per-row criteria must keep
-  // the build on the incremental path for a healthy share of the
-  // sequence — while staying element-identical to full builds.
-  std::size_t toggles = 0;
-  const auto incr0 = RoutingTables::incremental_builds();
-  for (std::size_t fi = 0; fi < 3; ++fi) {
-    for (std::uint64_t seq = 0; seq < 6; ++seq) {
-      hm::noc::Rng rng(hm::noc::derive_seed(77 + fi, seq));
-      Arrangement cur =
-          make_arrangement(kFamilies[fi], family_size(kFamilies[fi]));
-      RoutingTables tables(cur.graph());
-      for (int step = 0; step < 5; ++step) {
-        std::optional<Candidate> c;
-        for (int t = 0; t < 16 && !c; ++t) {
-          const auto kind = rng.uniform_int(2) == 0
-                                ? MutationKind::kRemoveEdge
-                                : MutationKind::kAddEdge;
-          c = propose_mutation(cur, kind, rng);
-        }
-        if (!c.has_value()) break;
-        RoutingTables incremental(c->arrangement.graph(), tables, c->edit);
-        const RoutingTables full(c->arrangement.graph());
-        ASSERT_TRUE(incremental.identical_to(full))
-            << hm::core::to_string(kFamilies[fi]) << " seq " << seq
-            << " step " << step << " op " << to_string(c->kind);
-        ++toggles;
-        cur = std::move(c->arrangement);
-        tables = std::move(incremental);
-      }
-    }
-  }
-  EXPECT_GE(toggles, 60u);
-  const auto incremental_taken = RoutingTables::incremental_builds() - incr0;
-  EXPECT_GE(incremental_taken, toggles / 3)
-      << "sharp criteria regressed: toggles mostly falling back to full "
-         "builds";
-}
-
-TEST(IncrementalRebuild, LocalEditStaysIncrementalAndReusesRows) {
-  // Dense graph where an edge removal provably invalidates only the two
-  // endpoint rows (in K_n every other vertex keeps distance 1 to both):
-  // the rebuild must take the incremental path and reuse n-2 rows.
-  constexpr std::size_t n = 20;
-  hm::graph::Graph g(n);
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a + 1; b < n; ++b) g.add_edge(a, b);
-  }
-  const RoutingTables prev(g);
-  GraphEdit edit;
-  edit.removed.push_back({3, 11});
-  hm::graph::Graph g2 = hm::noc::apply_edit(g, edit);
-
-  // Rows reused are counted only in the telemetry registry.
-  const bool telemetry_was = hm::telemetry::enabled();
-  hm::telemetry::set_enabled(true);
-  const auto rows_reused = [] {
-    const auto snap = hm::telemetry::snapshot();
-    const auto it = snap.counters.find("routing.incremental_rows_reused");
-    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
-  };
-  const auto incr0 = RoutingTables::incremental_builds();
-  const auto reused0 = rows_reused();
-  const RoutingTables incremental(g2, prev, edit);
-  EXPECT_EQ(RoutingTables::incremental_builds(), incr0 + 1);
-  EXPECT_EQ(rows_reused(), reused0 + (n - 2));
-  hm::telemetry::set_enabled(telemetry_was);
-  EXPECT_TRUE(incremental.identical_to(RoutingTables(g2)));
-}
-
-TEST(IncrementalRebuild, NonLocalEditFallsBackAndStaysIdentical) {
-  // On a ring, toggling one chord changes distances from almost every
-  // vertex — the rebuild must fall back to a full build, still yielding
-  // identical tables.
-  constexpr std::size_t n = 24;
-  hm::graph::Graph g(n);
-  for (NodeId v = 0; v < n; ++v) {
-    g.add_edge(v, static_cast<NodeId>((v + 1) % n));
-  }
-  const RoutingTables prev(g);
-  GraphEdit edit;
-  edit.added.push_back({0, 12});  // antipodal chord: every row shortens
-  hm::graph::Graph g2 = hm::noc::apply_edit(g, edit);
-
-  const auto incr0 = RoutingTables::incremental_builds();
-  const RoutingTables rebuilt(g2, prev, edit);
-  EXPECT_EQ(RoutingTables::incremental_builds(), incr0);  // fell back
-  EXPECT_TRUE(rebuilt.identical_to(RoutingTables(g2)));
-}
-
-TEST(IncrementalRebuild, RebuildFromInternsWithAcquire) {
+TEST(TopologyEdit, RebuildFromInternsWithAcquire) {
   const Arrangement arr = make_arrangement(ArrangementType::kHexaMesh, 19);
   const auto ctx = TopologyContext::acquire(arr.graph());
 
@@ -287,18 +164,33 @@ TEST(IncrementalRebuild, RebuildFromInternsWithAcquire) {
   hm::noc::Rng rng(5);
   const auto c = draw(arr, rng);
   ASSERT_TRUE(c.has_value());
-  const auto delta = TopologyContext::rebuild_from(ctx, c->edit);
-  EXPECT_EQ(delta->digest(), hm::noc::graph_digest(c->arrangement.graph()));
-  // Delta-built contexts land in the same digest-keyed intern cache, so a
-  // from-scratch acquire of the edited graph adopts the delta build (and
-  // vice versa): the two build paths are interchangeable.
+  const auto edited = TopologyContext::rebuild_from(ctx, c->edit);
+  EXPECT_EQ(edited->digest(), hm::noc::graph_digest(c->arrangement.graph()));
+  // rebuild_from interns through acquire(), so an acquire of the edited
+  // graph returns the same shared instance.
   const auto fresh = TopologyContext::acquire(c->arrangement.graph());
-  EXPECT_EQ(delta.get(), fresh.get());
-  // And the delta-built tables equal a private from-scratch build.
-  const TopologyContext reference(c->arrangement.graph());
-  EXPECT_TRUE(delta->tables().identical_to(reference.tables()));
+  EXPECT_EQ(edited.get(), fresh.get());
 
   EXPECT_THROW(TopologyContext::rebuild_from(nullptr, c->edit),
+               std::invalid_argument);
+
+  // Edits inconsistent with prev's graph, and one that disconnects it, are
+  // rejected. On the path 0-1-2-3-4 every edge is a bridge.
+  constexpr std::size_t n = 5;
+  hm::graph::Graph path(n);
+  for (NodeId v = 0; v + 1 < n; ++v) path.add_edge(v, v + 1);
+  const auto path_ctx = TopologyContext::acquire(path);
+  GraphEdit remove_missing;
+  remove_missing.removed.push_back({0, 2});
+  EXPECT_THROW(TopologyContext::rebuild_from(path_ctx, remove_missing),
+               std::invalid_argument);
+  GraphEdit add_existing;
+  add_existing.added.push_back({0, 1});
+  EXPECT_THROW(TopologyContext::rebuild_from(path_ctx, add_existing),
+               std::invalid_argument);
+  GraphEdit remove_bridge;
+  remove_bridge.removed.push_back({1, 2});
+  EXPECT_THROW(TopologyContext::rebuild_from(path_ctx, remove_bridge),
                std::invalid_argument);
 }
 
