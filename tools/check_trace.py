@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Validate a Chrome trace_event JSON file emitted by src/telemetry/trace.
 
-CI runs `design_sweep --trace out.json` and pipes the file through this
+tests/e2e/trace_smoke.sh (ctest e2e_trace_smoke) and CI's release trace
+step run `design_sweep --trace out.json` and pipe the file through this
 checker. It enforces the contract the tracer documents:
 
   * the file is valid JSON of the form {"traceEvents": [...]};
