@@ -5,23 +5,25 @@ Compares a freshly measured perf JSON against the committed baseline and
 fails (exit 1) when:
 
   * a guarded timing (sim_cycle.*, sim_cycle_lowload.*, the analytic
-    half's bisection.*, diameter.* and evaluate_analytic.*, or
-    sweep21.wall_s.t1) regressed by more than --max-regression (default
-    1.25, i.e. >25% slower/worse) — direction-aware: for the
-    sim_cycle_lowload.speedup.* ratios a *drop* below
-    baseline / max-regression is the failure, while for durations a rise
-    above baseline * max-regression is, or
+    half's bisection.*, diameter.* and evaluate_analytic.*, the uncached
+    routing-table build routing_tables_build.*, which every search
+    candidate and fault re-route pays, or sweep21.wall_s.t1) regressed
+    by more than --max-regression (default 1.25, i.e. >25% slower/worse)
+    — direction-aware: for the sim_cycle_lowload.speedup.* ratios a
+    *drop* below baseline / max-regression is the failure, while for
+    durations a rise above baseline * max-regression is, or
   * a saturation-search probe count (sat.probes.*) rose above its
     baseline at all. Probe counts are deterministic work counts, not
     timings: the same code on any host runs the same probes, so they get
     no headroom (7 -> 8 fails), or
   * the 8-thread sweep speedup dropped below --min-speedup-t8 (default 2.0).
 
-search.* metrics (the arrangement-search subsystem: incremental-rebuild
-times, end-to-end search wall clock) are compared with the same threshold
-but WARN-ONLY: their baseline was measured on one host class and needs a
-few CI runs to settle before gating hard. Promote the prefix from
-WARN_PREFIXES to GUARDED_PREFIXES once the numbers are stable.
+search.* metrics (the arrangement-search subsystem: end-to-end search
+wall clock, evaluations/s and best/baseline ratio) are compared with the
+same threshold but WARN-ONLY: their baseline was measured on one host
+class and needs a few CI runs to settle before gating hard. Promote the
+prefix from WARN_PREFIXES to GUARDED_PREFIXES once the numbers are
+stable.
 
 The speedup check only applies when the measuring host can scale at all:
 it is skipped (with a note) when the fresh JSON's host.hardware_threads —
@@ -45,7 +47,8 @@ import os
 import sys
 
 GUARDED_PREFIXES = ("sim_cycle.", "sim_cycle_lowload.", "sat.probes.",
-                    "bisection.", "diameter.", "evaluate_analytic.")
+                    "bisection.", "diameter.", "evaluate_analytic.",
+                    "routing_tables_build.")
 GUARDED_KEYS = ("sweep21.wall_s.t1",)
 # Guarded metrics where *higher* is better (speedup ratios): a drop below
 # baseline / max-regression is the failure, not a rise above it.
@@ -57,17 +60,15 @@ GUARDED_EXACT_COUNTS = ("sat.probes.",)
 # Ratio-style search metrics where *lower* is the regression direction are
 # listed separately so the warning fires the right way around.
 WARN_PREFIXES = ("search.", "telemetry.", "fault.", "store.")
-WARN_HIGHER_IS_BETTER = ("search.rebuild_speedup.", "search.best_over_baseline.",
+WARN_HIGHER_IS_BETTER = ("search.best_over_baseline.",
                          "search.e2e_evals_per_s.",
                          "search.tempering.best_over_baseline.",
                          "search.tempering.e2e_evals_per_s.",
                          "store.warm_speedup")
 # Workload counts, not timings: reported for the record, never compared
 # against a ratio threshold (a different proposal mix is not a slowdown).
-COUNT_KEYS = ("search.e2e_evaluations.", "search.incremental_rebuilds.",
-              "search.tempering.evaluations.",
-              "search.tempering.exchange_accept_rate.",
-              "search.tempering.incremental_rebuilds.")
+COUNT_KEYS = ("search.e2e_evaluations.", "search.tempering.evaluations.",
+              "search.tempering.exchange_accept_rate.")
 
 
 def load(path):
