@@ -25,7 +25,9 @@ int main() {
   TrafficSpec hotspot;
   hotspot.pattern = TrafficPattern::kHotspot;
   hotspot.hotspot_fraction = 0.2;
-  hotspot.hotspots = {0, 1};  // the central chiplet's endpoints
+  // Chiplet 0's two endpoints. Chiplet 0 is the grid's corner (lattice
+  // (0,0)) but HexaMesh's centre (ball() puts id 0 there).
+  hotspot.hotspots = {0, 1};
   TrafficSpec bitcomp;
   bitcomp.pattern = TrafficPattern::kBitComplement;
   TrafficSpec perm;

@@ -7,11 +7,8 @@
 // factors every throughput ratio is the product of. Chiplet counts 2..100
 // are decimated unless HM_FULL_SWEEP=1. Every design simulates with the same
 // fixed seed, like the paper's BookSim setup.
-#include <array>
 #include <cstdio>
-#include <numeric>
 #include <string>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "core/proxies.hpp"
@@ -21,7 +18,8 @@ int main() {
   using namespace hm::core;
   hm::bench::header("Fig. 7 — zero-load latency and saturation throughput",
                     "Fig. 7a-d (BookSim2-style cycle-accurate simulation, "
-                    "Sec. VI-A config) and the abstract's headline numbers");
+                    "Sec. VI-A config) and the abstract's headline numbers",
+                    /*simulation_counts=*/true);
 
   hm::explore::SweepSpec spec;  // paper-default EvaluationParams
   spec.types = hm::bench::compared_types();
@@ -60,11 +58,8 @@ int main() {
     std::printf("\n");
   }
 
-  // Brickwall and HexaMesh over the grid, column pairs (BW, HM): latency
-  // and throughput in percent, then per-link bandwidth, saturation fraction
-  // and bisection links as plain ratios.
-  using Row = std::array<double, 10>;
-  const auto print_row = [](const std::string& label, const Row& v) {
+  const auto print_row = [](const std::string& label,
+                            const hm::bench::RatioRow& v) {
     std::printf("%4s | %8.1f%% %8.1f%% | %8.1f%% %8.1f%% | %6.3f %6.3f |"
                 " %6.3f %6.3f | %6.3f %6.3f",
                 label.c_str(), v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7],
@@ -75,32 +70,12 @@ int main() {
               "BW lat%", "HM lat%", "BW thr%", "HM thr%", "BW lnk", "HM lnk",
               "BW sat", "HM sat", "BW bis", "HM bis");
   hm::bench::rule(96);
-  std::array<std::vector<double>, 10> tail;  // the paper averages N >= 10
-  for (std::size_t n : spec.chiplet_counts) {
-    const auto g = result(ArrangementType::kGrid, n);
-    const auto b = result(ArrangementType::kBrickwall, n);
-    const auto h = result(ArrangementType::kHexaMesh, n);
-    const Row row = {
-        100.0 * b.zero_load_latency_cycles / g.zero_load_latency_cycles,
-        100.0 * h.zero_load_latency_cycles / g.zero_load_latency_cycles,
-        100.0 * b.saturation_throughput_bps / g.saturation_throughput_bps,
-        100.0 * h.saturation_throughput_bps / g.saturation_throughput_bps,
-        b.per_link_bandwidth_bps / g.per_link_bandwidth_bps,
-        h.per_link_bandwidth_bps / g.per_link_bandwidth_bps,
-        b.saturation_fraction / g.saturation_fraction,
-        h.saturation_fraction / g.saturation_fraction,
-        static_cast<double>(b.bisection_links) / g.bisection_links,
-        static_cast<double>(h.bisection_links) / g.bisection_links};
-    print_row(std::to_string(n), row);
+  const auto fig7 = hm::bench::fig7_summary(records, spec.chiplet_counts);
+  for (std::size_t i = 0; i < fig7.rows.size(); ++i) {
+    print_row(std::to_string(spec.chiplet_counts[i]), fig7.rows[i]);
     std::printf("\n");
-    if (n < 10) continue;
-    for (std::size_t c = 0; c < row.size(); ++c) tail[c].push_back(row[c]);
   }
-  Row avg{};
-  for (std::size_t c = 0; c < avg.size(); ++c) {
-    avg[c] = std::accumulate(tail[c].begin(), tail[c].end(), 0.0) /
-             static_cast<double>(tail[c].size());
-  }
+  const auto& avg = fig7.mean;
   hm::bench::rule(96);
   print_row("AVG", avg);
   std::printf("   (N >= 10)\n");

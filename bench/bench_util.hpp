@@ -1,13 +1,17 @@
 // Shared helpers for the reproduction harnesses: sweep selection, parallel
-// evaluation through the explore::SweepEngine, result export, and table
-// formatting. Each bench binary regenerates one table/figure of the paper.
-// Environment knobs honoured by every sweep-engine-based driver:
-//   HM_FULL_SWEEP=1   run every chiplet count instead of the decimated set
+// evaluation through the explore::SweepEngine, result export, the Fig. 7
+// ratios, and table formatting. Each bench binary regenerates one
+// table/figure of the paper. Environment knobs:
 //   HM_THREADS=K      sweep with K threads (default: hardware concurrency)
 //   HM_CSV=path       additionally export the raw sweep records as CSV
 //   HM_JSON=path      additionally export the raw sweep records as JSON
+//   HM_FULL_SWEEP=1   run every chiplet count instead of the decimated set;
+//                     read only by simulation_sweep(), so only drivers
+//                     whose counts come from it (bench_fig7,
+//                     bench_ablation_fig7) honour it
 #pragma once
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -71,14 +75,18 @@ inline void rule(int width) {
   std::putchar('\n');
 }
 
-/// Prints the standard bench header.
-inline void header(const std::string& what, const std::string& paper_ref) {
+/// Prints the standard bench header. Drivers whose chiplet counts come from
+/// simulation_sweep() pass `simulation_counts` to say which N list runs; no
+/// other driver's counts depend on HM_FULL_SWEEP.
+inline void header(const std::string& what, const std::string& paper_ref,
+                   bool simulation_counts = false) {
   std::printf("== %s ==\n", what.c_str());
   std::printf("reproduces: %s\n", paper_ref.c_str());
-  if (!full_sweep_requested()) {
-    std::printf("sweep: decimated (set HM_FULL_SWEEP=1 for every N)\n");
-  } else {
-    std::printf("sweep: full\n");
+  if (simulation_counts) {
+    std::printf("sweep: %s\n",
+                full_sweep_requested()
+                    ? "full"
+                    : "decimated (set HM_FULL_SWEEP=1 for every N)");
   }
   std::printf("\n");
 }
@@ -163,6 +171,67 @@ inline const explore::SweepRecord& record_or_die(
     std::exit(1);
   }
   return *rec;
+}
+
+/// Brickwall and HexaMesh over the grid at one N, as column pairs (BW, HM):
+/// latency and throughput in percent, then per-link bandwidth, saturation
+/// fraction and bisection links as plain ratios.
+using RatioRow = std::array<double, 10>;
+
+/// The Fig. 7 numbers of one parameter set of a sweep over compared_types():
+/// the per-N ratio rows and their means over N >= 10, the paper's averaging
+/// (Sec. VI-C), plus each family's own means over the same N.
+struct Fig7Summary {
+  std::vector<RatioRow> rows;  ///< one per chiplet count, in sweep order
+  RatioRow mean{};             ///< of the rows with N >= 10
+  /// Per family in compared_types() order (grid, brickwall, HexaMesh):
+  /// mean zero-load latency [cycles] and mean saturation fraction.
+  std::array<double, 3> latency{};
+  std::array<double, 3> fraction{};
+};
+
+/// Summarizes parameter set `param_index` of `records` over `counts`. Exits
+/// 1 (record_or_die) when a design's record is missing or failed.
+inline Fig7Summary fig7_summary(
+    const std::vector<explore::SweepRecord>& records,
+    const std::vector<std::size_t>& counts, std::size_t param_index = 0) {
+  Fig7Summary s;
+  std::size_t tail = 0;
+  for (std::size_t n : counts) {
+    std::array<core::EvaluationResult, 3> r;
+    for (std::size_t f = 0; f < r.size(); ++f) {
+      r[f] = record_or_die(records, compared_types()[f], n, param_index)
+                 .result;
+    }
+    const auto& [g, b, h] = r;
+    s.rows.push_back(
+        {100.0 * b.zero_load_latency_cycles / g.zero_load_latency_cycles,
+         100.0 * h.zero_load_latency_cycles / g.zero_load_latency_cycles,
+         100.0 * b.saturation_throughput_bps / g.saturation_throughput_bps,
+         100.0 * h.saturation_throughput_bps / g.saturation_throughput_bps,
+         b.per_link_bandwidth_bps / g.per_link_bandwidth_bps,
+         h.per_link_bandwidth_bps / g.per_link_bandwidth_bps,
+         b.saturation_fraction / g.saturation_fraction,
+         h.saturation_fraction / g.saturation_fraction,
+         static_cast<double>(b.bisection_links) / g.bisection_links,
+         static_cast<double>(h.bisection_links) / g.bisection_links});
+    if (n < 10) continue;
+    ++tail;
+    for (std::size_t c = 0; c < s.mean.size(); ++c) {
+      s.mean[c] += s.rows.back()[c];
+    }
+    for (std::size_t f = 0; f < r.size(); ++f) {
+      s.latency[f] += r[f].zero_load_latency_cycles;
+      s.fraction[f] += r[f].saturation_fraction;
+    }
+  }
+  const auto divide = [&](auto& sums) {
+    for (double& v : sums) v /= static_cast<double>(tail);
+  };
+  divide(s.mean);
+  divide(s.latency);
+  divide(s.fraction);
+  return s;
 }
 
 }  // namespace hm::bench
