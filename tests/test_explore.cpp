@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "core/arrangement.hpp"
 #include "core/evaluator.hpp"
@@ -16,6 +18,7 @@
 #include "explore/sweep.hpp"
 #include "explore/thread_pool.hpp"
 #include "noc/rng.hpp"
+#include "store/record.hpp"
 
 namespace {
 
@@ -315,6 +318,54 @@ TEST(SweepEngine, PerJobSeedsAreDerivedAndStable) {
     seeds.insert(points1[i].params.sim.seed);
   }
   EXPECT_EQ(seeds.size(), points1.size());
+}
+
+TEST(SweepEngine, ParamEntryResultsIndependentOfOtherEntries) {
+  // With fixed seeds, a param_grid entry's records must not depend on what
+  // else the sweep holds: the shared cache, topology contexts and arenas
+  // may not leak one entry's simulation into another's. bench_ablation_fig7
+  // relies on this for its paper-default row to equal bench_fig7's.
+  SweepSpec alone;
+  alone.chiplet_counts = {4, 7};
+  alone.param_grid = {tiny_sim_params()};
+  alone.derive_per_job_seeds = false;
+  SweepSpec paired = alone;
+  paired.param_grid.push_back(tiny_sim_params());
+  paired.param_grid.back().sim.routing = noc::RoutingMode::kUpDownOnly;
+
+  const auto encoded = [](const SweepRecord& r) {
+    std::vector<std::uint8_t> out;
+    store::encode_result(r.result, out);
+    return out;
+  };
+  SweepEngine::Options opt;
+  opt.threads = 1;
+  const auto one = SweepEngine(opt).run(alone);
+  // One thread runs the jobs in order, so a cache key blind to sim.routing
+  // would hand the up*/down* entry its twin's result; three run the twins
+  // concurrently on shared topology contexts.
+  for (const unsigned threads : {1u, 3u}) {
+    opt.threads = threads;
+    const auto two = SweepEngine(opt).run(paired);
+    ASSERT_EQ(two.size(), 2 * one.size());
+    bool routing_mattered = false;
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      // Points expand with the param entries innermost (no traffic grid).
+      const auto& same = two[2 * i];
+      const auto& updown = two[2 * i + 1];
+      ASSERT_EQ(same.point.type, one[i].point.type);
+      ASSERT_EQ(same.point.chiplet_count, one[i].point.chiplet_count);
+      ASSERT_EQ(same.point.param_index, 0u);
+      ASSERT_TRUE(one[i].error.empty() && same.error.empty() &&
+                  updown.error.empty());
+      EXPECT_EQ(encoded(same), encoded(one[i]))
+          << core::to_string(one[i].point.type) << " N="
+          << one[i].point.chiplet_count << ", threads=" << threads;
+      routing_mattered |= encoded(updown) != encoded(one[i]);
+    }
+    EXPECT_TRUE(routing_mattered)
+        << "the up*/down* entry changed no result, threads=" << threads;
+  }
 }
 
 // --------------------------------------------- parallel evaluate() probes
