@@ -10,7 +10,10 @@
 // min_temperature floor), and tempering with and without replica exchange.
 // GoldenRouter pins the saturated router itself at N=37: throughput runs
 // per family x routing mode x offered rate plus one fault storm, each
-// reduced to its rates and the network's deterministic hot-path counters.
+// reduced to its rates and the network's deterministic hot-path counters;
+// router_wide.txt adds the SA stall counters of the minimal-adaptive runs
+// and full stat lines for routers whose VC and port bitmasks span more than
+// one 64-bit word (72 VCs, 71 ports).
 // GoldenAnalytic pins the analytic half (diameter, average hop distance,
 // bisection) and the partitioner's exact bisections for N up to 640.
 // GoldenLedger pins the Fig. 7 headline numbers at paper-scale N: a sweep
@@ -36,6 +39,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -45,6 +49,7 @@
 #include "explore/hash.hpp"
 #include "explore/sweep.hpp"
 #include "faults/fault_plan.hpp"
+#include "graph/graph.hpp"
 #include "noc/simulator.hpp"
 #include "partition/partitioner.hpp"
 #include "search/search.hpp"
@@ -339,6 +344,99 @@ TEST(GoldenRouter, SaturatedN37MatchesCapture) {
   const std::string golden = read_file(path);
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(actual, golden) << "router_n37.txt diverged from the golden";
+}
+
+/// Every counter of the Network's HotStats, the SA stall counters included,
+/// as `key=value` fields.
+std::string all_stat_fields(const hm::noc::Network& net) {
+  const hm::noc::Network::HotStats s = net.hot_stats();
+  char buf[512];
+  std::snprintf(
+      buf, sizeof buf,
+      " flits_routed=%llu va_stall_cycles=%llu sa_conflict_stalls=%llu"
+      " sa_credit_stalls=%llu heads_revoked=%llu ring_hwm=%llu"
+      " router_steps=%llu source_queue_hwm=%llu active_router_hwm=%llu"
+      " cycles_stepped=%llu",
+      static_cast<unsigned long long>(s.routers.flits_routed),
+      static_cast<unsigned long long>(s.routers.va_stall_cycles),
+      static_cast<unsigned long long>(s.routers.sa_conflict_stalls),
+      static_cast<unsigned long long>(s.routers.sa_credit_stalls),
+      static_cast<unsigned long long>(s.routers.heads_revoked),
+      static_cast<unsigned long long>(s.routers.ring_hwm),
+      static_cast<unsigned long long>(s.router_steps),
+      static_cast<unsigned long long>(s.source_queue_hwm),
+      static_cast<unsigned long long>(s.active_router_hwm),
+      static_cast<unsigned long long>(s.cycles_stepped));
+  return buf;
+}
+
+/// What router_n37.txt leaves out, and routers wider than one 64-bit mask
+/// word. First the SA stall counters of the six minimal-adaptive runs of
+/// router_golden_capture(): they move with the order in which switch
+/// allocation visits output ports and requesters. Then full stat lines for
+/// 72 VCs on grid N=16 (71 adaptive VCs per output port, 6 ports x 72 flat
+/// input VCs) and for 70 endpoints on each of two routers (71 ports), each
+/// below and at saturation.
+std::string router_wide_golden_capture() {
+  const std::pair<ArrangementType, const char*> families[] = {
+      {ArrangementType::kGrid, "grid"},
+      {ArrangementType::kBrickwall, "brickwall"},
+      {ArrangementType::kHexaMesh, "hexamesh"}};
+
+  std::string out;
+  char buf[256];
+  for (const auto& [type, family] : families) {
+    const auto g = make_arrangement(type, 37).graph();
+    for (const double rate : {1.0, 0.3}) {
+      hm::noc::Simulator sim(g, hm::noc::SimConfig{});
+      sim.run_throughput(rate, 500, 500);
+      const hm::noc::Router::HotStats s = sim.network().hot_stats().routers;
+      std::snprintf(buf, sizeof buf,
+                    "%s-37 minimal-adaptive rate=%g sa_conflict_stalls=%llu"
+                    " sa_credit_stalls=%llu\n",
+                    family, rate,
+                    static_cast<unsigned long long>(s.sa_conflict_stalls),
+                    static_cast<unsigned long long>(s.sa_credit_stalls));
+      out += buf;
+    }
+  }
+
+  hm::graph::Graph pair(2);
+  pair.add_edge(0, 1);
+  hm::noc::SimConfig wide_vcs;
+  wide_vcs.vcs = 72;
+  hm::noc::SimConfig wide_ports;
+  wide_ports.endpoints_per_chiplet = 70;
+  const std::tuple<const char*, hm::graph::Graph, hm::noc::SimConfig> wide[] = {
+      {"grid-16 vcs=72", make_arrangement(ArrangementType::kGrid, 16).graph(),
+       wide_vcs},
+      {"pair-2 endpoints_per_chiplet=70", pair, wide_ports}};
+  for (const auto& [label, g, cfg] : wide) {
+    for (const double rate : {0.3, 1.0}) {
+      hm::noc::Simulator sim(g, cfg);
+      const auto r = sim.run_throughput(rate, 500, 500);
+      std::snprintf(buf, sizeof buf,
+                    "%s rate=%g accepted=%.17g generated=%.17g dropped=%llu",
+                    label, rate, r.accepted_flit_rate, r.generated_flit_rate,
+                    static_cast<unsigned long long>(r.dropped_packets));
+      out += buf + all_stat_fields(sim.network()) + "\n";
+      std::string why;
+      EXPECT_TRUE(sim.network().invariants_ok(&why)) << label << ": " << why;
+    }
+  }
+  return out;
+}
+
+TEST(GoldenRouter, StallsAndWideMasksMatchCapture) {
+  const std::string path = std::string(HM_GOLDEN_DIR) + "/router_wide.txt";
+  const std::string actual = router_wide_golden_capture();
+  if (std::getenv("HM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+    GTEST_SKIP() << "HM_REGEN_GOLDEN set: golden rewritten, not compared";
+  }
+  const std::string golden = read_file(path);
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(actual, golden) << "router_wide.txt diverged from the golden";
 }
 
 // --- Analytic half -----------------------------------------------------------
