@@ -29,31 +29,30 @@ Router::Router(std::uint32_t id, const SimConfig& cfg,
     iv.buf.reserve(static_cast<std::size_t>(cfg_.buffer_depth));
   }
   out_.resize(n_ports_ * vcs);
-  for (std::size_t p = 0; p < n_ports_; ++p) {
-    for (int v = 0; v < cfg_.vcs; ++v) {
-      // Network outputs start with the downstream buffer depth; ejection
-      // outputs are modelled with effectively infinite credits (the endpoint
-      // always sinks flits; the port still serializes 1 flit/cycle).
-      out_[static_cast<std::size_t>(flat(p, v))].credits =
-          p < n_network_ports_ ? cfg_.buffer_depth : (1 << 30);
-    }
-  }
   out_channel_.assign(n_ports_, nullptr);
   out_latency_.assign(n_ports_, 1);
   credit_channel_.assign(n_ports_, nullptr);
   credit_latency_.assign(n_ports_, 1);
   sa_in_rr_.assign(n_ports_, 0);
-  sa_in_port_used_.assign(n_ports_, 0);
+  in_port_of_.resize(in_.size());
+  for (std::size_t i = 0; i < in_.size(); ++i) {
+    in_port_of_[i] = static_cast<std::uint16_t>(i / vcs);
+  }
+  port_words_ = (n_ports_ + 63) / 64;
+  sa_ports_.assign(port_words_, 0);
+  sa_in_used_.assign(port_words_, 0);
+  killed_.assign(port_words_, 0);
   grants_.reserve(n_ports_);
   mask_words_ = (n_ports_ * vcs + 63) / 64;
   sa_request_mask_.assign(n_ports_ * mask_words_, 0);
-  sa_req_count_.assign(n_ports_, 0);
   occupied_.assign(mask_words_, 0);
   needs_vc_.assign(mask_words_, 0);
   non_idle_.assign(mask_words_, 0);
   revocable_.assign(mask_words_, 0);
-  free_adaptive_.assign(n_ports_, cfg_.vcs - 1);
+  vc_words_ = (vcs + 63) / 64;
+  free_vcs_.assign(n_ports_ * vc_words_, 0);
   seed_rng(cfg_.seed);
+  reset();  // credits, free-VC masks: the fresh state is the reset state
 }
 
 void Router::seed_rng(std::uint64_t base) {
@@ -78,25 +77,40 @@ void Router::reset() {
   }
   for (std::size_t p = 0; p < n_ports_; ++p) {
     for (int v = 0; v < cfg_.vcs; ++v) {
+      // Network outputs start with the downstream buffer depth; ejection
+      // outputs are modelled with effectively infinite credits (the endpoint
+      // always sinks flits; the port still serializes 1 flit/cycle).
       OutputVc& ov = out_[static_cast<std::size_t>(flat(p, v))];
       ov.credits = p < n_network_ports_ ? cfg_.buffer_depth : (1 << 30);
       ov.owner = -1;
     }
+    refill_free_vcs(p);
   }
+  va_start_ = 0;
+  sa_start_ = 0;
   std::fill(sa_in_rr_.begin(), sa_in_rr_.end(), 0);
-  std::fill(sa_in_port_used_.begin(), sa_in_port_used_.end(), 0);
+  std::fill(sa_ports_.begin(), sa_ports_.end(), 0);
+  std::fill(sa_in_used_.begin(), sa_in_used_.end(), 0);
+  std::fill(killed_.begin(), killed_.end(), 0);
   grants_.clear();
   std::fill(sa_request_mask_.begin(), sa_request_mask_.end(), 0);
-  std::fill(sa_req_count_.begin(), sa_req_count_.end(), 0);
   std::fill(occupied_.begin(), occupied_.end(), 0);
   std::fill(needs_vc_.begin(), needs_vc_.end(), 0);
   std::fill(non_idle_.begin(), non_idle_.end(), 0);
   std::fill(revocable_.begin(), revocable_.end(), 0);
-  std::fill(free_adaptive_.begin(), free_adaptive_.end(), cfg_.vcs - 1);
   now_ = 0;
   rng_ = Rng(rng_seed_);
   buffered_ = 0;
   stats_ = HotStats{};
+}
+
+void Router::refill_free_vcs(std::size_t port) {
+  std::uint64_t* free = free_vcs(port);
+  for (std::size_t w = 0; w < vc_words_; ++w) {
+    const int bits = std::min(cfg_.vcs - static_cast<int>(w << 6), 64);
+    free[w] = bits == 64 ? ~0ULL : (1ULL << bits) - 1;
+  }
+  free[0] &= ~1ULL;  // VC 0 is the escape VC
 }
 
 void Router::wire_output(std::size_t port, FlitChannel* channel, int latency) {
@@ -179,26 +193,30 @@ bool Router::try_allocate_vc(InputVc& iv, int iv_flat) {
   const RoutingTables* tables = deg_tables_ == nullptr ? tables_ : deg_tables_;
   if (use_minimal) {
     const auto ports = tables->minimal_ports(id_, dst);
-    std::size_t first = 0;
+    std::size_t next = 0;  // candidate index, rotated with compare-and-wrap
     std::size_t count = ports.size();
     if (cfg_.routing == RoutingMode::kDeterministicMinimal) {
       // anynet-style: one fixed shortest path per (node, destination).
       count = 1;
     } else if (ports.size() > 1) {
       // Adaptive: rotate the starting candidate to spread load.
-      first = static_cast<std::size_t>(rng_.uniform_int(ports.size()));
+      next = static_cast<std::size_t>(rng_.uniform_int(ports.size()));
     }
     for (std::size_t i = 0; i < count; ++i) {
-      int port = ports[(i + first) % ports.size()];
+      int port = ports[next];
+      if (++next == ports.size()) next = 0;
       if (deg_port_map_ != nullptr) {
         port = deg_port_map_[static_cast<std::size_t>(port)];
       }
-      if (free_adaptive_[static_cast<std::size_t>(port)] == 0) continue;
-      for (int vc = 1; vc < cfg_.vcs; ++vc) {
-        OutputVc& ov = out_[static_cast<std::size_t>(flat(port, vc))];
-        if (ov.owner < 0) {
+      // The lowest free adaptive VC, as an ascending owner scan finds it.
+      std::uint64_t* free = free_vcs(static_cast<std::size_t>(port));
+      for (std::size_t w = 0; w < vc_words_; ++w) {
+        if (free[w] != 0) {
+          const int vc = static_cast<int>(w << 6) + std::countr_zero(free[w]);
+          free[w] &= free[w] - 1;
+          OutputVc& ov = out_[static_cast<std::size_t>(flat(port, vc))];
+          assert(ov.owner < 0);
           ov.owner = iv_flat;
-          --free_adaptive_[static_cast<std::size_t>(port)];
           iv.out_port = port;
           iv.out_vc = vc;
           iv.escape = false;
@@ -238,7 +256,7 @@ bool Router::try_allocate_vc(InputVc& iv, int iv_flat) {
       OutputVc& ov = out_[static_cast<std::size_t>(flat(hop.port, vc))];
       if (ov.owner < 0) {
         ov.owner = iv_flat;
-        if (vc >= 1) --free_adaptive_[hop.port];
+        if (vc >= 1) clear_bit(free_vcs(hop.port), vc);
         iv.out_port = hop.port;
         iv.out_vc = vc;
         iv.escape = true;
@@ -258,18 +276,30 @@ bool Router::try_allocate_vc(InputVc& iv, int iv_flat) {
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
-template <typename Visit>
-bool Router::walk_from(const std::uint64_t* mask, int start,
-                       Visit&& visit) const {
+template <typename Word, typename Visit>
+bool Router::walk_from(std::size_t words, int start, Word&& word,
+                       Visit&& visit) {
   const std::size_t sw = static_cast<std::size_t>(start) >> 6;
   const std::uint64_t high = ~0ULL << (start & 63);
-  for (std::size_t step = 0; step <= mask_words_; ++step) {
+  if (words == 1) {
+    // The common case (up to 64 ports or flat VCs): one read serves both
+    // halves, since a visit only ever clears its own bit.
+    const std::uint64_t m = word(0);
+    for (std::uint64_t b = m & high; b != 0; b &= b - 1) {
+      if (visit(std::countr_zero(b))) return true;
+    }
+    for (std::uint64_t b = m & ~high; b != 0; b &= b - 1) {
+      if (visit(std::countr_zero(b))) return true;
+    }
+    return false;
+  }
+  for (std::size_t step = 0; step <= words; ++step) {
     std::size_t w = sw + step;
-    if (w >= mask_words_) w -= mask_words_;
-    std::uint64_t m = mask[w];
+    if (w >= words) w -= words;
+    std::uint64_t m = word(w);
     if (step == 0) {
       m &= high;
-    } else if (step == mask_words_) {
+    } else if (step == words) {
       m &= ~high;
     }
     while (m != 0) {
@@ -283,8 +313,17 @@ bool Router::walk_from(const std::uint64_t* mask, int start,
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
 void Router::step(Cycle now) {
+  // Round-robin offsets now % size: one compare-and-wrap when this step
+  // follows the previous cycle's, a division only after a gap (skip-idle
+  // stepping), so both match a densely-stepped router's.
+  if (now == now_ + 1) {
+    if (++va_start_ == static_cast<int>(in_.size())) va_start_ = 0;
+    if (++sa_start_ == static_cast<int>(n_ports_)) sa_start_ = 0;
+  } else {
+    va_start_ = static_cast<int>(now % static_cast<Cycle>(in_.size()));
+    sa_start_ = static_cast<int>(now % static_cast<Cycle>(n_ports_));
+  }
   now_ = now;
-  const int total_vcs = static_cast<int>(in_.size());
 
   // --- RC: classify fresh heads -------------------------------------------
   // Ascending walk of the occupied idle VCs: every other VC either has no
@@ -304,11 +343,12 @@ void Router::step(Cycle now) {
   // Starting offset derived from the cycle number: identical to a pointer
   // incremented once per cycle, but invariant under idle-cycle skipping.
   // Circular walk of the needs-VC VCs from that offset.
-  const int va_start = static_cast<int>(now % static_cast<Cycle>(total_vcs));
-  walk_from(needs_vc_.data(), va_start, [&](int idx) {
-    try_allocate_vc(in_[static_cast<std::size_t>(idx)], idx);
-    return false;
-  });
+  walk_from(
+      mask_words_, va_start_, [&](std::size_t w) { return needs_vc_[w]; },
+      [&](int idx) {
+        try_allocate_vc(in_[static_cast<std::size_t>(idx)], idx);
+        return false;
+      });
 
   // --- SA: switch allocation + traversal -----------------------------------
   switch_allocate(now);
@@ -320,16 +360,16 @@ void Router::step(Cycle now) {
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
 void Router::switch_allocate(Cycle now) {
   const int total_vcs = static_cast<int>(in_.size());
-  std::fill(sa_in_port_used_.begin(), sa_in_port_used_.end(), 0);
+  for (std::size_t w = 0; w < port_words_; ++w) sa_in_used_[w] = 0;
   grants_.clear();
 
-  // Tries flat input VC `idx`, a requester of `out_p`; true on a grant.
+  // Tries flat input VC `idx`, a requester of `out_p` with a buffered
+  // flit; true on a grant.
   auto try_grant = [&](std::size_t out_p, int idx) {
     InputVc& iv = in_[static_cast<std::size_t>(idx)];
-    const auto in_port =
-        static_cast<std::size_t>(idx) / static_cast<std::size_t>(cfg_.vcs);
-    if (iv.buf.empty()) return false;
-    if (sa_in_port_used_[in_port]) {
+    assert(!iv.buf.empty());
+    const std::size_t in_port = in_port_of_[static_cast<std::size_t>(idx)];
+    if (test_bit(sa_in_used_.data(), static_cast<int>(in_port))) {
       ++stats_.sa_conflict_stalls;
       return false;
     }
@@ -355,15 +395,13 @@ void Router::switch_allocate(Cycle now) {
     ++iv.flits_sent;
     clear_bit(revocable_.data(), idx);  // the packet has made progress
     ++stats_.flits_routed;
-    sa_in_port_used_[in_port] = 1;
+    set_bit(sa_in_used_.data(), static_cast<int>(in_port));
 
     // Return a credit for the freed buffer slot upstream.
     const bool credit = credit_channel_[in_port] != nullptr;
     if (credit) {
-      credit_channel_[in_port]->push(
-          static_cast<int>(static_cast<std::size_t>(idx) %
-                           static_cast<std::size_t>(cfg_.vcs)),
-          now + credit_latency_[in_port]);
+      credit_channel_[in_port]->push(idx - flat(in_port, 0),
+                                     now + credit_latency_[in_port]);
     }
     grants_.push_back(Grant{static_cast<std::uint16_t>(in_port),
                             static_cast<std::uint16_t>(out_p), credit});
@@ -372,7 +410,7 @@ void Router::switch_allocate(Cycle now) {
       // Release the input VC and (for network outputs) the output VC.
       if (!iv.out_is_ejection) {
         ov.owner = -1;
-        if (iv.out_vc >= 1) ++free_adaptive_[out_p];
+        if (iv.out_vc >= 1) set_bit(free_vcs(out_p), iv.out_vc);
       }
       clear_request(out_p, idx);
       clear_bit(non_idle_.data(), idx);
@@ -383,7 +421,7 @@ void Router::switch_allocate(Cycle now) {
       iv.next_phase = 0;
       iv.flits_sent = 0;
     }
-    sa_in_rr_[out_p] = (idx + 1) % total_vcs;
+    sa_in_rr_[out_p] = idx + 1 == total_vcs ? 0 : idx + 1;
     return true;
   };
 
@@ -395,16 +433,21 @@ void Router::switch_allocate(Cycle now) {
   // or zero credits, and within a cycle input ports only become used
   // while a VC's buffer and credits change only through grants on its own
   // output port. So each requester is visited at most once per cycle.
-  std::size_t out_p =
-      static_cast<std::size_t>(now % static_cast<Cycle>(n_ports_));
-  for (std::size_t i = 0; i < n_ports_; ++i, ++out_p) {
-    if (out_p == n_ports_) out_p = 0;
-    // Request-free ports cannot grant; skipping them is free of side
-    // effects (an empty mask calls no try_grant, so it touches no stats).
-    if (sa_req_count_[out_p] == 0 || out_channel_[out_p] == nullptr) continue;
-    walk_from(&sa_request_mask_[out_p * mask_words_], sa_in_rr_[out_p],
-              [&](int idx) { return try_grant(out_p, idx); });
-  }
+  // Request-free ports and requesters with an empty buffer cannot grant
+  // and fail without touching a stat, so the walks skip them through
+  // sa_ports_ and occupied_; a grant changes only its own port's bits.
+  walk_from(
+      port_words_, sa_start_, [&](std::size_t w) { return sa_ports_[w]; },
+      [&](int p) {
+        const auto out_p = static_cast<std::size_t>(p);
+        if (out_channel_[out_p] == nullptr) return false;
+        const std::uint64_t* req = &sa_request_mask_[out_p * mask_words_];
+        walk_from(
+            mask_words_, sa_in_rr_[out_p],
+            [&](std::size_t w) { return req[w] & occupied_[w]; },
+            [&](int idx) { return try_grant(out_p, idx); });
+        return false;
+      });
 }
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
@@ -428,7 +471,7 @@ void Router::revoke_blocked_heads() {
       // eligible for the escape network.
       ov.owner = -1;
       if (iv.out_vc >= 1) {
-        ++free_adaptive_[static_cast<std::size_t>(iv.out_port)];
+        set_bit(free_vcs(static_cast<std::size_t>(iv.out_port)), iv.out_vc);
       }
       clear_request(static_cast<std::size_t>(iv.out_port), idx);
       clear_bit(revocable_.data(), idx);
@@ -462,7 +505,8 @@ void Router::fault_kill_port(std::size_t port) {
   for (int v = 0; v < cfg_.vcs; ++v) {
     out_[static_cast<std::size_t>(flat(port, v))].credits = 0;
   }
-  free_adaptive_[port] = 0;
+  std::fill_n(free_vcs(port), vc_words_, 0);
+  set_bit(killed_.data(), static_cast<int>(port));
 }
 
 void Router::fault_restore_port(std::size_t port, FlitChannel* out,
@@ -478,7 +522,8 @@ void Router::fault_restore_port(std::size_t port, FlitChannel* out,
     assert(ov.owner < 0);
     ov.credits = cfg_.buffer_depth;
   }
-  free_adaptive_[port] = cfg_.vcs - 1;
+  refill_free_vcs(port);
+  clear_bit(killed_.data(), static_cast<int>(port));
 }
 
 void Router::fault_refund_credit(std::size_t port, int vc) {
@@ -552,7 +597,8 @@ Router::FaultExcision Router::fault_excise(
           ov.owner = -1;
           if (iv.out_vc >= 1 &&
               !dead_out(static_cast<std::size_t>(iv.out_port))) {
-            ++free_adaptive_[static_cast<std::size_t>(iv.out_port)];
+            set_bit(free_vcs(static_cast<std::size_t>(iv.out_port)),
+                    iv.out_vc);
           }
         }
       }
@@ -588,6 +634,12 @@ bool Router::invariants_ok(std::string* why) const {
   if (buffered_ != buffered_flits()) {
     return fail("incremental buffered-flit count out of sync");
   }
+  if (va_start_ != now_ % static_cast<Cycle>(in_.size()) ||
+      sa_start_ != now_ % static_cast<Cycle>(n_ports_)) {
+    return fail("round-robin offset out of sync with the cycle");
+  }
+  std::size_t active = 0;  // kActive input VCs: one request bit each
+  std::size_t request_bits = 0;
   for (std::size_t p = 0; p < n_ports_; ++p) {
     for (int v = 0; v < cfg_.vcs; ++v) {
       const int idx = flat(p, v);
@@ -624,6 +676,33 @@ bool Router::invariants_ok(std::string* why) const {
             out_[static_cast<std::size_t>(flat(iv.out_port, iv.out_vc))];
         if (ov.owner != flat(p, v)) return fail("ownership mismatch");
       }
+      if (iv.state == VcState::kActive) {
+        ++active;
+        const auto q = static_cast<std::size_t>(iv.out_port);
+        if (!test_bit(&sa_request_mask_[q * mask_words_], idx)) {
+          return fail("request bit out of sync with VC state");
+        }
+      }
+    }
+    bool has_requester = false;
+    for (std::size_t w = 0; w < mask_words_; ++w) {
+      const std::uint64_t word = sa_request_mask_[p * mask_words_ + w];
+      has_requester |= word != 0;
+      request_bits += static_cast<std::size_t>(std::popcount(word));
+    }
+    if (test_bit(sa_ports_.data(), static_cast<int>(p)) != has_requester) {
+      return fail("requester-port bit out of sync with request mask");
+    }
+    const std::uint64_t* free = &free_vcs_[p * vc_words_];
+    const bool killed = test_bit(killed_.data(), static_cast<int>(p));
+    for (int v = 0; v < static_cast<int>(vc_words_ << 6); ++v) {
+      const bool owned =
+          v < cfg_.vcs && out_[static_cast<std::size_t>(flat(p, v))].owner >= 0;
+      const bool expect_free = !killed && v >= 1 && v < cfg_.vcs && !owned;
+      if (test_bit(free, v) != expect_free) {
+        return fail(killed ? "free-VC mask not empty on a killed port"
+                           : "free-VC bit out of sync with output-VC owner");
+      }
     }
     if (p < n_network_ports_) {
       for (int v = 0; v < cfg_.vcs; ++v) {
@@ -633,6 +712,9 @@ bool Router::invariants_ok(std::string* why) const {
         }
       }
     }
+  }
+  if (request_bits != active) {
+    return fail("request bit set for a VC that is not requesting");
   }
   return true;
 }

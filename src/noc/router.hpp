@@ -13,10 +13,16 @@
 // Hot-path layout: input and output VC state lives in flat [port*vcs + vc]
 // arrays (one contiguous block each), flit buffers are fixed-capacity rings
 // sized to buffer_depth, and the switch allocator's matching scratch is
-// preallocated — a steady-state step() does no heap allocation. Bitmasks
-// over the flat input-VC ids (occupancy, VC state, SA requests) let every
-// stage walk only the VCs it can act on. Flits are 8-byte routing words
-// (see flit.hpp); the only cold data a router ever needs — the destination
+// preallocated — a steady-state step() does no heap allocation. Every
+// allocation stage walks bitmasks of what can act: over the flat input-VC
+// ids (occupancy, VC state, SA requests), over the output ports (ports with
+// requesters, input ports already granted this cycle) and, per output port,
+// over its free adaptive VCs, so SA visits only ports with requesters and
+// VA takes a free VC with one countr_zero. Every mask is multiword (any VC
+// or port count). The cycle-derived round-robin offsets advance with a
+// compare-and-wrap, and a flat VC's input port comes from a table, so no
+// division runs per requester. Flits are 8-byte routing words (see
+// flit.hpp); the only cold data a router ever needs — the destination
 // endpoint for ejection-port routing — is looked up once per packet in the
 // Network's PacketTable when the head flit is route-computed.
 #pragma once
@@ -145,13 +151,13 @@ class Router {
 
   /// Kills network port `port`: output and credit-return channels are
   /// detached (SA already skips null output channels) and the output VC
-  /// credits and free-adaptive count drop to zero so no new allocation can
-  /// target the port. Callers must excise in-flight state afterwards
+  /// credits and free-VC mask drop to zero so no new allocation can target
+  /// the port. Callers must excise in-flight state afterwards
   /// (fault_excise) — the port's output VCs may still have owners here.
   void fault_kill_port(std::size_t port);
 
   /// Restores a killed port after a repair: rewires the channels and
-  /// refills credits / free-adaptive to the fresh-build state. The port's
+  /// refills credits and the free-VC mask to the fresh-build state. The port's
   /// output VCs must be ownerless (guaranteed after fault_excise).
   void fault_restore_port(std::size_t port, FlitChannel* out, int out_latency,
                           CreditChannel* credit, int credit_latency);
@@ -176,7 +182,7 @@ class Router {
   /// zero-progress allocations toward `dead_out` ports (those packets
   /// re-route on the degraded tables). `refund(in_port, vc)` fires once per
   /// removed flit so the Network can credit the upstream sender; releases
-  /// never re-grow free_adaptive_ of a dead output port.
+  /// never re-grow the free-VC mask of a dead output port.
   FaultExcision fault_excise(
       const std::function<bool(std::uint32_t)>& poisoned,
       const std::function<bool(std::size_t)>& dead_out,
@@ -220,16 +226,28 @@ class Router {
   /// Marks flat input VC `iv_flat` as requesting output port `out_p` (set
   /// exactly while the VC is kActive), so the switch allocator can walk
   /// requesters with countr_zero instead of scanning every input VC. The
-  /// per-port requester count lets SA skip request-free ports with one
-  /// load instead of probing an empty mask per port per cycle.
+  /// port's bit in sa_ports_ follows its request words empty <-> non-empty,
+  /// so SA walks only ports with requesters.
   void mark_request(std::size_t out_p, int iv_flat) {
     set_bit(&sa_request_mask_[out_p * mask_words_], iv_flat);
-    ++sa_req_count_[out_p];
+    set_bit(sa_ports_.data(), static_cast<int>(out_p));
   }
   void clear_request(std::size_t out_p, int iv_flat) {
-    clear_bit(&sa_request_mask_[out_p * mask_words_], iv_flat);
-    --sa_req_count_[out_p];
+    std::uint64_t* req = &sa_request_mask_[out_p * mask_words_];
+    clear_bit(req, iv_flat);
+    for (std::size_t w = 0; w < mask_words_; ++w) {
+      if (req[w] != 0) return;
+    }
+    clear_bit(sa_ports_.data(), static_cast<int>(out_p));
   }
+
+  /// Output port `port`'s free-VC mask: vc_words_ words, bit v set iff
+  /// adaptive VC v (1..vcs-1) has no owner and the port is not killed.
+  [[nodiscard]] std::uint64_t* free_vcs(std::size_t port) {
+    return &free_vcs_[port * vc_words_];
+  }
+  /// Sets every adaptive VC of `port` free (fresh build, restore).
+  void refill_free_vcs(std::size_t port);
 
   static void set_bit(std::uint64_t* mask, int idx) {
     mask[static_cast<std::size_t>(idx) >> 6] |= 1ULL << (idx & 63);
@@ -241,12 +259,14 @@ class Router {
     return (mask[static_cast<std::size_t>(idx) >> 6] >> (idx & 63)) & 1;
   }
 
-  /// Calls `visit(idx)` for the set bits of the mask_words_-word `mask` in
-  /// circular flat-id order from `start` (bits >= start ascending, then the
-  /// bits below start) until it returns true; returns whether it did. Words
-  /// are loaded as the walk reaches them, so `visit` may clear its own bit.
-  template <typename Visit>
-  bool walk_from(const std::uint64_t* mask, int start, Visit&& visit) const;
+  /// Calls `visit(idx)` for the set bits of a `words`-word mask in circular
+  /// order from `start` (bits >= start ascending, then the bits below
+  /// start) until it returns true; returns whether it did. `word(w)` yields
+  /// word w. `visit` may clear its own bit, never one the walk has yet to
+  /// reach.
+  template <typename Word, typename Visit>
+  static bool walk_from(std::size_t words, int start, Word&& word,
+                        Visit&& visit);
 
   void route_compute(InputVc& iv, int iv_flat);
   bool try_allocate_vc(InputVc& iv, int iv_flat);
@@ -274,24 +294,36 @@ class Router {
   std::vector<int> credit_latency_;
 
   // Round-robin state for fair allocation. The VA and SA-output starting
-  // offsets are derived from the cycle number (now % size) instead of being
-  // incremented per step, so a router skipped while idle resumes with
-  // exactly the offsets a densely-stepped router would have. sa_in_rr_
-  // advances only on grants, which cannot happen while idle.
+  // offsets are the cycle number modulo the flat VC count and the port
+  // count, not pointers incremented per step, so a router skipped while
+  // idle resumes with exactly the offsets a densely-stepped router would
+  // have. step() advances them with a compare-and-wrap when it follows the
+  // previous cycle and recomputes them after a gap. sa_in_rr_ advances only
+  // on grants, which cannot happen while idle.
+  int va_start_ = 0;           ///< now_ % flat input-VC count
+  int sa_start_ = 0;           ///< now_ % n_ports_
   std::vector<int> sa_in_rr_;  ///< per output port, over flat input-VC ids
 
-  // Preallocated switch-allocation scratch: which input ports already won
-  // a grant this cycle (one flit per input port per cycle), and the grants
-  // themselves (reserved to n_ports_: each output port grants at most once
-  // per cycle, so recording them never allocates).
-  std::vector<char> sa_in_port_used_;
+  /// Input port of each flat input-VC id (idx / vcs without the division).
+  std::vector<std::uint16_t> in_port_of_;
+
+  // Bitmasks over the ports, port_words_ words each: output ports with at
+  // least one requester, input ports that already won a grant this cycle
+  // (one flit per input port per cycle; cleared at the start of SA), and
+  // network ports detached by fault_kill_port.
+  std::size_t port_words_ = 1;
+  std::vector<std::uint64_t> sa_ports_;
+  std::vector<std::uint64_t> sa_in_used_;
+  std::vector<std::uint64_t> killed_;
+
+  // The grants of the current step (reserved to n_ports_: each output port
+  // grants at most once per cycle, so recording them never allocates).
   std::vector<Grant> grants_;
 
   // Requester bitmasks: [out_port * mask_words_ + word] over flat input-VC
   // ids; bit set iff that input VC is kActive toward that output port.
   std::size_t mask_words_ = 1;
   std::vector<std::uint64_t> sa_request_mask_;
-  std::vector<std::uint16_t> sa_req_count_;  ///< requesters per output port
 
   // Per-VC bitmasks over flat input-VC ids, updated at every buffer and
   // state change, so each stage of step() walks only the VCs it can act
@@ -308,12 +340,15 @@ class Router {
   /// kActive toward a network output with no flit of the packet sent yet.
   std::vector<std::uint64_t> revocable_;
 
-  /// Per output port: free adaptive output VCs (owner < 0 among VCs
-  /// 1..vcs-1). Lets a blocked header skip a fully-owned port with one load
-  /// instead of vcs-1 owner probes every VA cycle.
-  std::vector<int> free_adaptive_;
+  /// Per output port, vc_words_ words over the VC ids: bit v set iff
+  /// adaptive VC v (1..vcs-1) has no owner; empty on a killed port. Its
+  /// lowest set bit is the VC an ascending owner scan would pick, so VA
+  /// allocates with one countr_zero and skips a fully-owned port with one
+  /// load.
+  std::size_t vc_words_ = 1;
+  std::vector<std::uint64_t> free_vcs_;
 
-  Cycle now_ = 0;  ///< updated by step(); used for SA readiness checks
+  Cycle now_ = 0;  ///< last cycle step() ran; readiness checks, offsets
 
   /// Per-router arbitration stream: adaptive-VC rotation draws come from
   /// here instead of a network-wide shared Rng, so skipping an idle router
