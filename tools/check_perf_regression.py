@@ -31,6 +31,13 @@ or, absent that key, this machine's cpu count — is below
 --min-cores-for-scaling (default 4). A 1-core CI runner measuring
 speedup.t8 ~= 1.0 is oversubscription, not a contention regression.
 
+The nine sim_cycle.* and sim_cycle_lowload.* duration baselines are the
+medians of three full bench_perf_micro runs on one 4-vCPU Intel Xeon VM
+(gcc 12.2, Release), taken after switch and VC allocation moved to
+bitmasks, which made the old values loose (a 1.9x slowdown would have
+passed). The three sim_cycle_lowload.speedup.* ratios keep their earlier
+baselines: that change sped up dense and skip-idle stepping alike.
+
 Caveat: the guarded timings are absolute wall-clock numbers, so the
 baseline and the fresh measurement ideally come from the same host class.
 The default 1.25x headroom absorbs typical per-core variance between CI
