@@ -14,7 +14,7 @@ enum class RoutingMode {
   /// on any minimal output port) with a deadlock-free up*/down* escape on
   /// VC 0 (Duato's protocol). The default: shortest paths at low load, no
   /// deadlock at saturation, and no artificial hot channels from tie-break
-  /// bias (see bench_ablation_routing).
+  /// bias (see bench_ablation_fig7).
   kMinimalAdaptive,
   /// Deterministic single-path minimal routing: one fixed shortest path per
   /// (node, destination) pair, lowest-port tie-break (closest to BookSim2's

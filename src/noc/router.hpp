@@ -241,8 +241,7 @@ class Router {
     clear_bit(sa_ports_.data(), static_cast<int>(out_p));
   }
 
-  /// Output port `port`'s free-VC mask: vc_words_ words, bit v set iff
-  /// adaptive VC v (1..vcs-1) has no owner and the port is not killed.
+  /// Output port `port`'s vc_words_ words of free_vcs_.
   [[nodiscard]] std::uint64_t* free_vcs(std::size_t port) {
     return &free_vcs_[port * vc_words_];
   }
