@@ -86,8 +86,6 @@ void Router::reset() {
     }
     refill_free_vcs(p);
   }
-  va_start_ = 0;
-  sa_start_ = 0;
   std::fill(sa_in_rr_.begin(), sa_in_rr_.end(), 0);
   std::fill(sa_ports_.begin(), sa_ports_.end(), 0);
   std::fill(sa_in_used_.begin(), sa_in_used_.end(), 0);
@@ -313,16 +311,6 @@ bool Router::walk_from(std::size_t words, int start, Word&& word,
 
 // HM_HOT: per-cycle simulation path — no allocation, no throw.
 void Router::step(Cycle now) {
-  // Round-robin offsets now % size: one compare-and-wrap when this step
-  // follows the previous cycle's, a division only after a gap (skip-idle
-  // stepping), so both match a densely-stepped router's.
-  if (now == now_ + 1) {
-    if (++va_start_ == static_cast<int>(in_.size())) va_start_ = 0;
-    if (++sa_start_ == static_cast<int>(n_ports_)) sa_start_ = 0;
-  } else {
-    va_start_ = static_cast<int>(now % static_cast<Cycle>(in_.size()));
-    sa_start_ = static_cast<int>(now % static_cast<Cycle>(n_ports_));
-  }
   now_ = now;
 
   // --- RC: classify fresh heads -------------------------------------------
@@ -343,8 +331,9 @@ void Router::step(Cycle now) {
   // Starting offset derived from the cycle number: identical to a pointer
   // incremented once per cycle, but invariant under idle-cycle skipping.
   // Circular walk of the needs-VC VCs from that offset.
+  const int va_start = static_cast<int>(now % static_cast<Cycle>(in_.size()));
   walk_from(
-      mask_words_, va_start_, [&](std::size_t w) { return needs_vc_[w]; },
+      mask_words_, va_start, [&](std::size_t w) { return needs_vc_[w]; },
       [&](int idx) {
         try_allocate_vc(in_[static_cast<std::size_t>(idx)], idx);
         return false;
@@ -436,8 +425,9 @@ void Router::switch_allocate(Cycle now) {
   // Request-free ports and requesters with an empty buffer cannot grant
   // and fail without touching a stat, so the walks skip them through
   // sa_ports_ and occupied_; a grant changes only its own port's bits.
+  const int sa_start = static_cast<int>(now % static_cast<Cycle>(n_ports_));
   walk_from(
-      port_words_, sa_start_, [&](std::size_t w) { return sa_ports_[w]; },
+      port_words_, sa_start, [&](std::size_t w) { return sa_ports_[w]; },
       [&](int p) {
         const auto out_p = static_cast<std::size_t>(p);
         if (out_channel_[out_p] == nullptr) return false;
@@ -633,10 +623,6 @@ bool Router::invariants_ok(std::string* why) const {
   };
   if (buffered_ != buffered_flits()) {
     return fail("incremental buffered-flit count out of sync");
-  }
-  if (va_start_ != now_ % static_cast<Cycle>(in_.size()) ||
-      sa_start_ != now_ % static_cast<Cycle>(n_ports_)) {
-    return fail("round-robin offset out of sync with the cycle");
   }
   std::size_t active = 0;  // kActive input VCs: one request bit each
   std::size_t request_bits = 0;

@@ -19,8 +19,7 @@
 // requesters, input ports already granted this cycle) and, per output port,
 // over its free adaptive VCs, so SA visits only ports with requesters and
 // VA takes a free VC with one countr_zero. Every mask is multiword (any VC
-// or port count). The cycle-derived round-robin offsets advance with a
-// compare-and-wrap, and a flat VC's input port comes from a table, so no
+// or port count). A flat VC's input port comes from a table, so no
 // division runs per requester. Flits are 8-byte routing words (see
 // flit.hpp); the only cold data a router ever needs — the destination
 // endpoint for ejection-port routing — is looked up once per packet in the
@@ -293,14 +292,10 @@ class Router {
   std::vector<int> credit_latency_;
 
   // Round-robin state for fair allocation. The VA and SA-output starting
-  // offsets are the cycle number modulo the flat VC count and the port
-  // count, not pointers incremented per step, so a router skipped while
-  // idle resumes with exactly the offsets a densely-stepped router would
-  // have. step() advances them with a compare-and-wrap when it follows the
-  // previous cycle and recomputes them after a gap. sa_in_rr_ advances only
-  // on grants, which cannot happen while idle.
-  int va_start_ = 0;           ///< now_ % flat input-VC count
-  int sa_start_ = 0;           ///< now_ % n_ports_
+  // offsets are derived from the cycle number (now % size) instead of being
+  // incremented per step, so a router skipped while idle resumes with
+  // exactly the offsets a densely-stepped router would have. sa_in_rr_
+  // advances only on grants, which cannot happen while idle.
   std::vector<int> sa_in_rr_;  ///< per output port, over flat input-VC ids
 
   /// Input port of each flat input-VC id (idx / vcs without the division).
@@ -347,7 +342,7 @@ class Router {
   std::size_t vc_words_ = 1;
   std::vector<std::uint64_t> free_vcs_;
 
-  Cycle now_ = 0;  ///< last cycle step() ran; readiness checks, offsets
+  Cycle now_ = 0;  ///< updated by step(); used for SA readiness checks
 
   /// Per-router arbitration stream: adaptive-VC rotation draws come from
   /// here instead of a network-wide shared Rng, so skipping an idle router
