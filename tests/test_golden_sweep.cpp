@@ -10,10 +10,10 @@
 // min_temperature floor), and tempering with and without replica exchange.
 // GoldenRouter pins the saturated router itself at N=37: throughput runs
 // per family x routing mode x offered rate plus one fault storm, each
-// reduced to its rates and the network's deterministic hot-path counters;
-// router_wide.txt adds the SA stall counters of the minimal-adaptive runs
-// and full stat lines for routers whose VC and port bitmasks span more than
-// one 64-bit word (72 VCs, 71 ports).
+// reduced to its rates and the network's deterministic hot-path counters
+// (router_n37.txt); router_wide.txt adds the SA stall counters of the
+// minimal-adaptive runs and full lines for routers whose VC and port
+// bitmasks span more than one 64-bit word (72 VCs, 71 ports).
 // GoldenAnalytic pins the analytic half (diameter, average hop distance,
 // bisection) and the partitioner's exact bisections for N up to 640.
 // GoldenLedger pins the Fig. 7 headline numbers at paper-scale N: a sweep
@@ -256,8 +256,12 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, GoldenTrace,
 // --- Saturated router --------------------------------------------------------
 
 /// The Network's deterministic hot-path counters as `key=value` fields.
-/// The switch-allocation stall counters are left out on purpose: they
-/// count arbitration attempts, not simulated work.
+/// The switch-allocation stall counters are left out: they count
+/// arbitration attempts, not simulated work, so router_n37.txt stays a
+/// record of what the network did. router_wide.txt pins them
+/// (sa_stall_fields) because they move with the order in which switch
+/// allocation visits output ports and requesters, which a bit-identical
+/// allocator change must keep.
 std::string hot_stat_fields(const hm::noc::Network& net) {
   const hm::noc::Network::HotStats s = net.hot_stats();
   char buf[256];
@@ -273,9 +277,31 @@ std::string hot_stat_fields(const hm::noc::Network& net) {
   return buf;
 }
 
-/// Every routing mode on every family at N=37, driven to saturation and
-/// below it, plus a three-kill storm on HexaMesh: one line per run.
-std::string router_golden_capture() {
+/// The switch-allocation stall counters as `key=value` fields.
+std::string sa_stall_fields(const hm::noc::Network& net) {
+  const hm::noc::Router::HotStats s = net.hot_stats().routers;
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                " sa_conflict_stalls=%llu sa_credit_stalls=%llu",
+                static_cast<unsigned long long>(s.sa_conflict_stalls),
+                static_cast<unsigned long long>(s.sa_credit_stalls));
+  return buf;
+}
+
+/// The two router goldens, captured in one pass.
+struct RouterCapture {
+  std::string n37;   ///< router_n37.txt
+  std::string wide;  ///< router_wide.txt
+};
+
+/// router_n37.txt: every routing mode on every family at N=37, driven to
+/// saturation and below it, plus a three-kill storm on HexaMesh; one line
+/// per run. router_wide.txt: the SA stall counters of the six
+/// minimal-adaptive N=37 runs, then full lines for routers wider than one
+/// 64-bit mask word: 72 VCs on grid N=16 (71 adaptive VCs per output port,
+/// 6 ports x 72 flat input VCs) and 70 endpoints on each of two routers
+/// (71 ports), each below and at saturation.
+RouterCapture router_golden_capture() {
   using hm::noc::RoutingMode;
   const std::pair<ArrangementType, const char*> families[] = {
       {ArrangementType::kGrid, "grid"},
@@ -286,7 +312,7 @@ std::string router_golden_capture() {
       {RoutingMode::kDeterministicMinimal, "deterministic-minimal"},
       {RoutingMode::kUpDownOnly, "updown-only"}};
 
-  std::string out;
+  RouterCapture out;
   char buf[256];
   for (const auto& [type, family] : families) {
     const auto g = make_arrangement(type, 37).graph();
@@ -296,13 +322,17 @@ std::string router_golden_capture() {
         cfg.routing = mode;
         hm::noc::Simulator sim(g, cfg);
         const auto r = sim.run_throughput(rate, 500, 500);
+        std::snprintf(buf, sizeof buf, "%s-37 %s rate=%g", family, mode_name,
+                      rate);
+        const std::string label = buf;
+        if (mode == RoutingMode::kMinimalAdaptive) {
+          out.wide += label + sa_stall_fields(sim.network()) + "\n";
+        }
         std::snprintf(buf, sizeof buf,
-                      "%s-37 %s rate=%g accepted=%.17g generated=%.17g"
-                      " dropped=%llu",
-                      family, mode_name, rate, r.accepted_flit_rate,
-                      r.generated_flit_rate,
+                      " accepted=%.17g generated=%.17g dropped=%llu",
+                      r.accepted_flit_rate, r.generated_flit_rate,
                       static_cast<unsigned long long>(r.dropped_packets));
-        out += buf + hot_stat_fields(sim.network()) + "\n";
+        out.n37 += label + buf + hot_stat_fields(sim.network()) + "\n";
       }
     }
   }
@@ -328,78 +358,9 @@ std::string router_golden_capture() {
       static_cast<unsigned long long>(s.packets_rerouted), s.pre_fault_rate,
       s.degraded_rate,
       static_cast<unsigned long long>(sim.network().total_flits_ejected()));
-  out += buf + hot_stat_fields(sim.network()) + "\n";
+  out.n37 += buf + hot_stat_fields(sim.network()) + "\n";
   std::string why;
   EXPECT_TRUE(sim.network().invariants_ok(&why)) << why;
-  return out;
-}
-
-TEST(GoldenRouter, SaturatedN37MatchesCapture) {
-  const std::string path = std::string(HM_GOLDEN_DIR) + "/router_n37.txt";
-  const std::string actual = router_golden_capture();
-  if (std::getenv("HM_REGEN_GOLDEN") != nullptr) {
-    std::ofstream(path, std::ios::binary) << actual;
-    GTEST_SKIP() << "HM_REGEN_GOLDEN set: golden rewritten, not compared";
-  }
-  const std::string golden = read_file(path);
-  ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(actual, golden) << "router_n37.txt diverged from the golden";
-}
-
-/// Every counter of the Network's HotStats, the SA stall counters included,
-/// as `key=value` fields.
-std::string all_stat_fields(const hm::noc::Network& net) {
-  const hm::noc::Network::HotStats s = net.hot_stats();
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      " flits_routed=%llu va_stall_cycles=%llu sa_conflict_stalls=%llu"
-      " sa_credit_stalls=%llu heads_revoked=%llu ring_hwm=%llu"
-      " router_steps=%llu source_queue_hwm=%llu active_router_hwm=%llu"
-      " cycles_stepped=%llu",
-      static_cast<unsigned long long>(s.routers.flits_routed),
-      static_cast<unsigned long long>(s.routers.va_stall_cycles),
-      static_cast<unsigned long long>(s.routers.sa_conflict_stalls),
-      static_cast<unsigned long long>(s.routers.sa_credit_stalls),
-      static_cast<unsigned long long>(s.routers.heads_revoked),
-      static_cast<unsigned long long>(s.routers.ring_hwm),
-      static_cast<unsigned long long>(s.router_steps),
-      static_cast<unsigned long long>(s.source_queue_hwm),
-      static_cast<unsigned long long>(s.active_router_hwm),
-      static_cast<unsigned long long>(s.cycles_stepped));
-  return buf;
-}
-
-/// What router_n37.txt leaves out, and routers wider than one 64-bit mask
-/// word. First the SA stall counters of the six minimal-adaptive runs of
-/// router_golden_capture(): they move with the order in which switch
-/// allocation visits output ports and requesters. Then full stat lines for
-/// 72 VCs on grid N=16 (71 adaptive VCs per output port, 6 ports x 72 flat
-/// input VCs) and for 70 endpoints on each of two routers (71 ports), each
-/// below and at saturation.
-std::string router_wide_golden_capture() {
-  const std::pair<ArrangementType, const char*> families[] = {
-      {ArrangementType::kGrid, "grid"},
-      {ArrangementType::kBrickwall, "brickwall"},
-      {ArrangementType::kHexaMesh, "hexamesh"}};
-
-  std::string out;
-  char buf[256];
-  for (const auto& [type, family] : families) {
-    const auto g = make_arrangement(type, 37).graph();
-    for (const double rate : {1.0, 0.3}) {
-      hm::noc::Simulator sim(g, hm::noc::SimConfig{});
-      sim.run_throughput(rate, 500, 500);
-      const hm::noc::Router::HotStats s = sim.network().hot_stats().routers;
-      std::snprintf(buf, sizeof buf,
-                    "%s-37 minimal-adaptive rate=%g sa_conflict_stalls=%llu"
-                    " sa_credit_stalls=%llu\n",
-                    family, rate,
-                    static_cast<unsigned long long>(s.sa_conflict_stalls),
-                    static_cast<unsigned long long>(s.sa_credit_stalls));
-      out += buf;
-    }
-  }
 
   hm::graph::Graph pair(2);
   pair.add_edge(0, 1);
@@ -411,32 +372,33 @@ std::string router_wide_golden_capture() {
       {"grid-16 vcs=72", make_arrangement(ArrangementType::kGrid, 16).graph(),
        wide_vcs},
       {"pair-2 endpoints_per_chiplet=70", pair, wide_ports}};
-  for (const auto& [label, g, cfg] : wide) {
+  for (const auto& [label, wg, cfg] : wide) {
     for (const double rate : {0.3, 1.0}) {
-      hm::noc::Simulator sim(g, cfg);
-      const auto r = sim.run_throughput(rate, 500, 500);
+      hm::noc::Simulator wsim(wg, cfg);
+      const auto r = wsim.run_throughput(rate, 500, 500);
       std::snprintf(buf, sizeof buf,
                     "%s rate=%g accepted=%.17g generated=%.17g dropped=%llu",
                     label, rate, r.accepted_flit_rate, r.generated_flit_rate,
                     static_cast<unsigned long long>(r.dropped_packets));
-      out += buf + all_stat_fields(sim.network()) + "\n";
-      std::string why;
-      EXPECT_TRUE(sim.network().invariants_ok(&why)) << label << ": " << why;
+      out.wide += buf + hot_stat_fields(wsim.network()) +
+                  sa_stall_fields(wsim.network()) + "\n";
+      EXPECT_TRUE(wsim.network().invariants_ok(&why)) << label << ": " << why;
     }
   }
   return out;
 }
 
-TEST(GoldenRouter, StallsAndWideMasksMatchCapture) {
-  const std::string path = std::string(HM_GOLDEN_DIR) + "/router_wide.txt";
-  const std::string actual = router_wide_golden_capture();
+TEST(GoldenRouter, RunsMatchCapture) {
+  const std::string n37 = std::string(HM_GOLDEN_DIR) + "/router_n37.txt";
+  const std::string wide = std::string(HM_GOLDEN_DIR) + "/router_wide.txt";
+  const RouterCapture actual = router_golden_capture();
   if (std::getenv("HM_REGEN_GOLDEN") != nullptr) {
-    std::ofstream(path, std::ios::binary) << actual;
-    GTEST_SKIP() << "HM_REGEN_GOLDEN set: golden rewritten, not compared";
+    std::ofstream(n37, std::ios::binary) << actual.n37;
+    std::ofstream(wide, std::ios::binary) << actual.wide;
+    GTEST_SKIP() << "HM_REGEN_GOLDEN set: goldens rewritten, not compared";
   }
-  const std::string golden = read_file(path);
-  ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(actual, golden) << "router_wide.txt diverged from the golden";
+  EXPECT_EQ(actual.n37, read_file(n37)) << "router_n37.txt diverged";
+  EXPECT_EQ(actual.wide, read_file(wide)) << "router_wide.txt diverged";
 }
 
 // --- Analytic half -----------------------------------------------------------
