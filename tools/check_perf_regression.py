@@ -31,19 +31,16 @@ or, absent that key, this machine's cpu count — is below
 --min-cores-for-scaling (default 4). A 1-core CI runner measuring
 speedup.t8 ~= 1.0 is oversubscription, not a contention regression.
 
-The nine sim_cycle.* and sim_cycle_lowload.* duration baselines are the
-medians of three full bench_perf_micro runs on one 4-vCPU Intel Xeon VM
-(gcc 12.2, Release), taken after switch and VC allocation moved to
-bitmasks, which made the old values loose (a 1.9x slowdown would have
-passed). The three sim_cycle_lowload.speedup.* ratios keep their earlier
-baselines: that change sped up dense and skip-idle stepping alike.
-
 Caveat: the guarded timings are absolute wall-clock numbers, so the
 baseline and the fresh measurement ideally come from the same host class.
 The default 1.25x headroom absorbs typical per-core variance between CI
 runners; if the runner fleet changes for good, re-baseline the committed
 BENCH_perf.json (or tune --max-regression) instead of accepting a
-permanently red or permanently vacuous gate.
+permanently red or permanently vacuous gate. Take a re-baseline from runs
+at more than one sitting: on a shared 4-vCPU Intel Xeon VM, six runs of
+one bench_perf_micro binary read every sim_cycle* median 1.25-1.49x
+higher than six runs of it 14 hours earlier, so the earlier runs'
+per-key maxima failed five of the later six.
 
 Usage: check_perf_regression.py BASELINE_JSON FRESH_JSON [options]
 """
